@@ -35,7 +35,6 @@ import hashlib
 import io
 import json
 import mmap
-import os
 import struct
 import zipfile
 from dataclasses import dataclass
@@ -46,6 +45,7 @@ import numpy as np
 
 from ..core.pareto import pareto_front_indices
 from ..core.results import DesignPoint
+from .journal import write_atomic
 
 #: Format version stamped into every npz; readers refuse anything else.
 COLUMNAR_VERSION = 1
@@ -138,13 +138,7 @@ def write_front_npz(
         ),
     }
     members.update(build_columns(points))
-    npz_path = front_npz_path(json_path)
-    # np.savez appends ".npz" unless the name already ends with it, so the
-    # temp name must keep the suffix for the rename to land precisely.
-    tmp_path = npz_path.with_name(npz_path.stem + ".tmp.npz")
-    np.savez(tmp_path, **members)
-    os.replace(tmp_path, npz_path)
-    return npz_path
+    return write_atomic(front_npz_path(json_path), lambda handle: np.savez(handle, **members))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from ..journal import write_atomic
+
 
 class LeaseLost(RuntimeError):
     """Raised when renewing/releasing a lease this worker no longer owns.
@@ -123,16 +125,13 @@ class LeaseDirectory:
         return self.directory / f"{job_id}.json"
 
     def _write(self, lease: Lease) -> None:
-        """Atomically (re)write a lease file via temp + ``os.replace``.
+        """Atomically (re)write a lease file (:func:`~repro.campaign.journal.write_atomic`).
 
-        The temp name embeds the token so two racing stealers never write
-        through the same temp file.
+        Each write goes through its own temp file, so two racing stealers
+        never write through the same one.
         """
-        self.directory.mkdir(parents=True, exist_ok=True)
-        target = self.path(lease.job_id)
-        tmp = target.with_name(f"{target.name}.{lease.token}.tmp")
-        tmp.write_text(json.dumps(lease.as_dict(), sort_keys=True) + "\n")
-        os.replace(tmp, target)
+        payload = (json.dumps(lease.as_dict(), sort_keys=True) + "\n").encode("utf-8")
+        write_atomic(self.path(lease.job_id), lambda handle: handle.write(payload))
 
     def read(self, job_id: str) -> Optional[Lease]:
         """The current lease on a job, or ``None`` (missing or torn file)."""

@@ -24,8 +24,9 @@ from __future__ import annotations
 import json
 import os
 import time
+import uuid
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Union
+from typing import IO, Callable, Dict, List, Optional, Set, Union
 
 MANIFEST_NAME = "manifest.jsonl"
 SPEC_NAME = "spec.json"
@@ -36,19 +37,34 @@ FRONT_NAME = "front.json"
 RESULT_NAME = "result.json"
 
 
-def write_json_atomic(path: Union[str, Path], document: object) -> Path:
-    """Write JSON via a temp file + ``os.replace`` so readers never see halves.
+def write_atomic(path: Union[str, Path], write: Callable[[IO[bytes]], None]) -> Path:
+    """Write a file via a temp file + ``os.replace`` so readers never see halves.
 
-    The rename is atomic on POSIX filesystems: a concurrent reader (or a
-    kill between write and rename) observes either the old file or the new
-    one, never a truncated mix. Returns the final path.
+    ``write`` fills the open binary temp file. The rename is atomic on POSIX
+    filesystems: a concurrent reader (or a kill between write and rename)
+    observes either the old file or the new one, never a truncated mix. The
+    temp name is unique per call (``<name>.<random>.tmp``, in the same
+    directory), so concurrent writers of one path never share or delete
+    each other's temp file, and it ends in ``.tmp`` so no ``*.json`` /
+    ``*.npz`` artifact glob picks it up. Returns the final path.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp_path = path.with_name(path.name + ".tmp")
-    tmp_path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp_path, path)
+    tmp_path = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp_path, "xb") as handle:
+            write(handle)
+        os.replace(tmp_path, path)
+    except BaseException:
+        tmp_path.unlink(missing_ok=True)
+        raise
     return path
+
+
+def write_json_atomic(path: Union[str, Path], document: object) -> Path:
+    """Write one JSON document atomically (see :func:`write_atomic`)."""
+    payload = (json.dumps(document, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return write_atomic(path, lambda handle: handle.write(payload))
 
 
 def read_json(path: Union[str, Path]) -> object:

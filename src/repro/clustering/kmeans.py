@@ -13,6 +13,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+#: Default Lloyd iteration cap of :func:`kmeans_1d`.
+MAX_ITERATIONS = 100
+#: Default convergence threshold on the largest centroid movement.
+TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class KMeansResult:
@@ -63,8 +68,8 @@ def _assign(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def kmeans_1d(
     values: np.ndarray,
     n_clusters: int,
-    max_iterations: int = 100,
-    tolerance: float = 1e-9,
+    max_iterations: int = MAX_ITERATIONS,
+    tolerance: float = TOLERANCE,
     seed: Optional[int] = None,
     init: str = "kmeans++",
 ) -> KMeansResult:

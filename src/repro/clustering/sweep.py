@@ -3,7 +3,10 @@
 The paper produces its clustering Pareto points by "executing the algorithm
 [Deep Compression] for a selected range of clusters". Each cluster budget is
 evaluated independently from a fresh clone of the trained baseline:
-cluster → fine-tune → re-project → measure accuracy → synthesize.
+cluster → fine-tune → re-project → measure accuracy → synthesize. Each
+fine-tuning epoch trains every budget's model as one stack
+(:func:`~repro.clustering.weight_clustering.cluster_and_finetune_population`),
+with the same weights per budget as a separate ``cluster_and_finetune``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from ..core.results import DesignPoint
 from ..datasets.preprocessing import PreparedData
 from ..hardware.technology import TechnologyLibrary
 from ..nn.network import MLP
-from .weight_clustering import cluster_and_finetune
+from .weight_clustering import cluster_and_finetune_population
 
 #: Cluster budgets examined by the clustering sweep (per input position).
 PAPER_CLUSTER_RANGE: Sequence[int] = (2, 3, 4, 6, 8)
@@ -47,17 +50,17 @@ def clustering_sweep(
         tech: technology library for synthesis.
         seed: clustering / fine-tuning seed.
     """
+    candidates = [model.clone() for _ in cluster_range]
+    results = cluster_and_finetune_population(
+        candidates,
+        data,
+        [int(n_clusters) for n_clusters in cluster_range],
+        epochs=finetune_epochs,
+        seed=seed,
+        per_position=per_position,
+    )
     points: List[DesignPoint] = []
-    for n_clusters in cluster_range:
-        candidate = model.clone()
-        result = cluster_and_finetune(
-            candidate,
-            data,
-            int(n_clusters),
-            epochs=finetune_epochs,
-            seed=seed,
-            per_position=per_position,
-        )
+    for n_clusters, candidate, result in zip(cluster_range, candidates, results):
         accuracy = candidate.evaluate_accuracy(data.test.features, data.test.labels)
         report = synthesize(
             candidate,

@@ -28,7 +28,8 @@ import numpy as np
 from ..datasets.preprocessing import PreparedData
 from ..nn.layers import Dense
 from ..nn.network import MLP
-from ..nn.trainer import finetune
+from ..nn.stacked import finetune_population
+from .batched import cluster_sums, kmeans_1d_batch
 from .kmeans import kmeans_1d
 
 
@@ -215,6 +216,53 @@ def reproject_clusters(model: MLP, result: ClusteringResult) -> None:
         layer.weights = weights * mask
 
 
+def reproject_population_clusters(
+    models: Sequence[MLP], results: Sequence[ClusteringResult]
+) -> None:
+    """:func:`reproject_clusters` for a population of models, in place.
+
+    With per-position clusterings of one architecture (what
+    :func:`cluster_population_weights` and a sweep's
+    :func:`cluster_model_weights` produce), every row of every model is
+    projected at once, each cluster's mean summed in the order
+    ``reproject_clusters`` sums it (:func:`~repro.clustering.batched.cluster_sums`).
+    Any other population is projected model by model.
+    """
+    models = list(models)
+    results = list(results)
+    if not models:
+        return
+    for model, result in zip(models, results):
+        if len(result.per_layer) != len(model.dense_layers):
+            raise ValueError("ClusteringResult does not match the model's layer count")
+    shapes = {tuple(layer.weights.shape for layer in model.dense_layers) for model in models}
+    per_position = all(
+        len(clustering.assignments) == layer.weights.shape[0]
+        for model, result in zip(models, results)
+        for layer, clustering in zip(model.dense_layers, result.per_layer)
+    )
+    if len(shapes) > 1 or not per_position:
+        for model, result in zip(models, results):
+            reproject_clusters(model, result)
+        return
+    for index in range(len(models[0].dense_layers)):
+        layers = [model.dense_layers[index] for model in models]
+        shape = layers[0].weights.shape
+        rows = np.stack([layer.weights for layer in layers]).reshape(-1, shape[1])
+        assignments = np.stack(
+            [np.stack(result.per_layer[index].assignments) for result in results]
+        ).reshape(rows.shape)
+        valid = assignments >= 0
+        slots = np.maximum(assignments, 0)
+        sums, counts = cluster_sums(rows, valid, assignments, int(slots.max(initial=0)) + 1)
+        means = np.take_along_axis(sums / np.maximum(counts, 1), slots, axis=1)
+        shared = valid & (np.take_along_axis(counts, slots, axis=1) >= 2)
+        projected = np.where(shared, means, rows).reshape((len(models),) + shape)
+        for layer, weights in zip(layers, projected):
+            mask = layer.mask if layer.mask is not None else np.ones_like(weights)
+            layer.weights = weights * mask
+
+
 def cluster_and_finetune(
     model: MLP,
     data: PreparedData,
@@ -232,21 +280,189 @@ def cluster_and_finetune(
     the projection), so the final model satisfies the sharing constraint with
     no post-hoc accuracy drop.
     """
-    result = cluster_model_weights(model, n_clusters, seed=seed, per_position=per_position)
+    return cluster_and_finetune_population(
+        [model],
+        data,
+        [n_clusters],
+        epochs=epochs,
+        learning_rate=learning_rate,
+        seed=seed,
+        per_position=per_position,
+    )[0]
+
+
+def cluster_and_finetune_population(
+    models: Sequence[MLP],
+    data: PreparedData,
+    n_clusters: Sequence[Union[int, Sequence[int]]],
+    epochs: int = 15,
+    learning_rate: float = 0.002,
+    seed: Optional[int] = None,
+    per_position: bool = True,
+) -> List[ClusteringResult]:
+    """:func:`cluster_and_finetune` for several models (one budget each), in place.
+
+    Each model is clustered on its own with :func:`cluster_model_weights`;
+    the per-epoch fine-tuning then trains all of them as one stack
+    (:func:`~repro.nn.stacked.finetune_population`) before every model is
+    re-projected. Model ``g`` ends exactly as
+    ``cluster_and_finetune(models[g], data, n_clusters[g], ...)`` leaves it
+    when run alone.
+    """
+    models = list(models)
+    if len(n_clusters) != len(models):
+        raise ValueError(f"Got {len(n_clusters)} cluster budgets for {len(models)} models")
+    results = [
+        cluster_model_weights(model, budget, seed=seed, per_position=per_position)
+        for model, budget in zip(models, n_clusters)
+    ]
     for epoch in range(int(epochs)):
-        epoch_lr = learning_rate * (0.85**epoch)
-        finetune(
-            model,
+        finetune_population(
+            models,
             data.train.features,
             data.train.labels,
             data.validation.features,
             data.validation.labels,
             epochs=1,
-            learning_rate=epoch_lr,
-            seed=None if seed is None else seed + epoch,
+            learning_rate=learning_rate * (0.85**epoch),
+            seeds=[None if seed is None else seed + epoch] * len(models),
         )
-        reproject_clusters(model, result)
-    return result
+        reproject_population_clusters(models, results)
+    return results
+
+
+def cluster_population_weights(
+    models: Sequence[MLP],
+    n_clusters: Sequence[Union[int, Sequence[int]]],
+    seeds: Sequence[Optional[int]],
+) -> List[ClusteringResult]:
+    """Per-position :func:`cluster_model_weights` for a population, in place.
+
+    The models must share one architecture (a GA population of baseline
+    clones does). Every input row of every Dense layer of every model is one
+    clustering problem, and all of them are solved in one
+    :func:`~repro.clustering.batched.kmeans_1d_batch` call. Model ``g`` ends
+    with the weights and the :class:`ClusteringResult` that
+    ``cluster_model_weights(models[g], n_clusters[g], seed=seeds[g])``
+    produces; that per-model path stays the reference.
+    """
+    models = list(models)
+    if len(n_clusters) != len(models) or len(seeds) != len(models):
+        raise ValueError("n_clusters and seeds need one entry per model")
+    if not models:
+        return []
+    n_layers = len(models[0].dense_layers)
+    budgets = np.array([_layer_budgets(budget, n_layers) for budget in n_clusters])
+    if budgets.size and budgets.min() < 1:
+        raise ValueError(f"n_clusters must be >= 1, got {int(budgets.min())}")
+
+    # One block per layer index: the population's rows of that layer. Each
+    # row with a kept weight is a problem, packed left in original order.
+    width = max(layer.weights.shape[1] for layer in models[0].dense_layers)
+    blocks, values, sizes, problem_budgets, problem_seeds = [], [], [], [], []
+    for index in range(n_layers):
+        layers = [model.dense_layers[index] for model in models]
+        weights = np.stack([layer.weights for layer in layers])
+        masks = np.stack(
+            [
+                layer.mask if layer.mask is not None else np.ones_like(layer.weights)
+                for layer in layers
+            ]
+        )
+        n_rows, n_columns = weights.shape[1:]
+        rows = weights.reshape(-1, n_columns)
+        keep = masks.reshape(-1, n_columns) != 0.0
+        order = np.argsort(~keep, axis=1, kind="stable")
+        solved = keep.any(axis=1)
+        packed = np.take_along_axis(rows, order, axis=1)[solved]
+        values.append(np.pad(packed, ((0, 0), (0, width - n_columns))))
+        sizes.append(keep.sum(axis=1)[solved])
+        problem_budgets.append(np.repeat(budgets[:, index], n_rows)[solved])
+        problem_seeds.extend(np.repeat(np.array(seeds, dtype=object), n_rows)[solved])
+        blocks.append((layers, masks, rows, order, solved))
+    result = kmeans_1d_batch(
+        np.concatenate(values),
+        np.concatenate(sizes),
+        np.concatenate(problem_budgets),
+        problem_seeds,
+    )
+
+    per_model: List[List[LayerClustering]] = [[] for _ in models]
+    first = 0
+    for index, (layers, masks, rows, order, solved) in enumerate(blocks):
+        solved_problems = first + np.arange(int(solved.sum()))
+        first += solved_problems.size
+        packed = np.full(rows.shape, -1, dtype=np.intp)
+        packed[solved] = result.assignments[solved_problems, : rows.shape[1]]
+        assignments = np.empty_like(packed)
+        np.put_along_axis(assignments, order, packed, axis=1)
+        centroids = np.zeros((rows.shape[0], result.centroids.shape[1]))
+        centroids[solved] = result.centroids[solved_problems]
+        clustered = np.where(
+            assignments >= 0,
+            np.take_along_axis(centroids, np.maximum(assignments, 0), axis=1),
+            rows,
+        ).reshape(masks.shape) * masks
+        assignments = assignments.reshape(masks.shape)
+        solved = solved.reshape(masks.shape[:2])
+        problems = iter(solved_problems)
+        for model_index, layer in enumerate(layers):
+            layer.weights = clustered[model_index]
+            clustering = LayerClustering(n_clusters=int(budgets[model_index, index]))
+            for row_index, row_solved in enumerate(solved[model_index]):
+                clustering.centroids.append(
+                    result.problem_centroids(next(problems)) if row_solved else np.array([])
+                )
+                clustering.assignments.append(assignments[model_index, row_index].astype(int))
+            per_model[model_index].append(clustering)
+
+    return _clustering_summaries(models, per_model, budgets)
+
+
+def _layer_budgets(n_clusters: Union[int, Sequence[int]], n_layers: int) -> List[int]:
+    """Per-Dense-layer cluster budgets from an int or a per-layer sequence."""
+    if isinstance(n_clusters, int):
+        return [n_clusters] * n_layers
+    budgets = [int(b) for b in n_clusters]
+    if len(budgets) != n_layers:
+        raise ValueError(
+            f"n_clusters has {len(budgets)} entries but the model has "
+            f"{n_layers} Dense layers"
+        )
+    return budgets
+
+
+def _clustering_summaries(
+    models: Sequence[MLP],
+    per_model: List[List[LayerClustering]],
+    budgets: np.ndarray,
+) -> List[ClusteringResult]:
+    """The :class:`ClusteringResult` of each already clustered model.
+
+    The totals are :func:`cluster_model_weights`' per-row set counts,
+    computed for the whole population at once: the distinct non-zero
+    ``|w|`` of a row are the run starts of its sorted magnitudes.
+    """
+    products = np.zeros(len(models), dtype=np.int64)
+    connections = np.zeros(len(models), dtype=np.int64)
+    for index in range(budgets.shape[1]):
+        effective = np.stack([model.dense_layers[index].effective_weights() for model in models])
+        connections += np.count_nonzero(effective, axis=(1, 2))
+        magnitudes = np.sort(np.abs(effective), axis=2)
+        starts = magnitudes != 0.0
+        starts[..., 1:] &= magnitudes[..., 1:] != magnitudes[..., :-1]
+        products += starts.sum(axis=(1, 2))
+    return [
+        ClusteringResult(
+            n_clusters=int(model_budgets.max()),
+            per_layer=layers,
+            total_distinct_products=int(model_products),
+            total_connections=int(model_connections),
+        )
+        for layers, model_budgets, model_products, model_connections in zip(
+            per_model, budgets, products, connections
+        )
+    ]
 
 
 def distinct_products(model: MLP) -> int:

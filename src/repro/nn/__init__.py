@@ -50,6 +50,7 @@ from .optimizers import (
 from .serialization import load_model, save_model
 from .stacked import (
     StackedTrainer,
+    finetune_population,
     finetune_stacked,
     predict_stacked,
     supports_stacking,
@@ -99,6 +100,7 @@ __all__ = [
     "build_mlp",
     "confusion_matrix",
     "finetune",
+    "finetune_population",
     "finetune_stacked",
     "get_activation",
     "get_initializer",

@@ -42,7 +42,7 @@ from ..core.backend import ArrayBackend, resolve_backend
 from .layers import ActivationLayer, Dense
 from .network import MLP
 from .optimizers import StackedAdam
-from .trainer import TrainerConfig, TrainingHistory, _one_hot
+from .trainer import TrainerConfig, TrainingHistory, _one_hot, finetune
 
 
 def _layer_signature(model: MLP) -> Tuple:
@@ -620,6 +620,58 @@ def finetune_stacked(
         models, learning_rate, config=config, seeds=seeds, backend=backend
     )
     return trainer.fit(x_train, y_train, x_val, y_val)
+
+
+def finetune_population(
+    models: Sequence[MLP],
+    x_train: np.ndarray,
+    y_train: np.ndarray,
+    x_val: Optional[np.ndarray] = None,
+    y_val: Optional[np.ndarray] = None,
+    epochs: int = 20,
+    learning_rate: float = 0.003,
+    batch_size: int = 32,
+    seeds: Optional[Sequence[Optional[int]]] = None,
+) -> List[TrainingHistory]:
+    """Fine-tune several models with shared hyper-parameters, in place.
+
+    One :func:`finetune_stacked` call when :func:`supports_stacking` allows
+    it, otherwise a loop of serial :func:`~repro.nn.trainer.finetune` calls
+    (e.g. models with ``Dropout``). Either way model ``g`` ends with the
+    weights ``finetune(models[g], ..., seed=seeds[g])`` gives it. The stack
+    always runs on the numpy backend, whatever ``REPRO_BACKEND`` says: it
+    stands in for the serial trainer, which has no backend.
+    """
+    models = list(models)
+    if seeds is None:
+        seeds = [None] * len(models)
+    if supports_stacking(models):
+        return finetune_stacked(
+            models,
+            x_train,
+            y_train,
+            x_val,
+            y_val,
+            epochs=epochs,
+            learning_rate=learning_rate,
+            batch_size=batch_size,
+            seeds=seeds,
+            backend="numpy",
+        )
+    return [
+        finetune(
+            model,
+            x_train,
+            y_train,
+            x_val,
+            y_val,
+            epochs=epochs,
+            learning_rate=learning_rate,
+            batch_size=batch_size,
+            seed=seed,
+        )
+        for model, seed in zip(models, seeds)
+    ]
 
 
 def predict_stacked(

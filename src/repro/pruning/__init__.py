@@ -11,6 +11,7 @@ from .schedules import (
     PruningScheduleConfig,
     gradual_magnitude_pruning,
     one_shot_pruning,
+    one_shot_pruning_population,
     sparsity_accuracy_curve,
 )
 from .structured import (
@@ -30,6 +31,7 @@ __all__ = [
     "gradual_magnitude_pruning",
     "neuron_importance",
     "one_shot_pruning",
+    "one_shot_pruning_population",
     "prune_by_magnitude",
     "prune_layer_by_magnitude",
     "prune_neurons",

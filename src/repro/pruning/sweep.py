@@ -3,7 +3,10 @@
 The paper examines unstructured pruning with sparsity between 20 % and 60 %.
 Each sparsity level is evaluated independently: clone the trained baseline,
 prune, fine-tune, measure test accuracy, and synthesize the bespoke circuit
-(pruned connections produce no multipliers and shrink the adder trees).
+(pruned connections produce no multipliers and shrink the adder trees). The
+fine-tuning passes of all levels run as one stacked fine-tuning
+(:func:`~repro.pruning.schedules.one_shot_pruning_population`), with the same
+weights per level as a separate :func:`~repro.pruning.schedules.one_shot_pruning`.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from ..core.results import DesignPoint
 from ..datasets.preprocessing import PreparedData
 from ..hardware.technology import TechnologyLibrary
 from ..nn.network import MLP
-from .magnitude import prune_by_magnitude
-from .schedules import one_shot_pruning
+from .schedules import one_shot_pruning_population
 
 #: Sparsity levels examined by the paper's pruning sweep (20 % .. 60 %).
 PAPER_SPARSITY_RANGE: Sequence[float] = (0.2, 0.3, 0.4, 0.5, 0.6)
@@ -46,19 +48,12 @@ def pruning_sweep(
         tech: technology library for synthesis.
         seed: fine-tuning seed.
     """
+    candidates = [model.clone() for _ in sparsity_range]
+    results = one_shot_pruning_population(
+        candidates, sparsity_range, data=data, finetune_epochs=finetune_epochs, seed=seed
+    )
     points: List[DesignPoint] = []
-    for sparsity in sparsity_range:
-        candidate = model.clone()
-        if finetune_epochs > 0:
-            result = one_shot_pruning(
-                candidate,
-                float(sparsity),
-                data=data,
-                finetune_epochs=finetune_epochs,
-                seed=seed,
-            )
-        else:
-            result = prune_by_magnitude(candidate, float(sparsity))
+    for sparsity, candidate, result in zip(sparsity_range, candidates, results):
         accuracy = candidate.evaluate_accuracy(data.test.features, data.test.labels)
         report = synthesize(
             candidate,

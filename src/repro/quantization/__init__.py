@@ -12,6 +12,7 @@ from .qat import (
     detach_quantizers,
     quantization_snr,
     quantize_aware_train,
+    quantize_aware_train_population,
     quantized_copy,
     weight_bits_used,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "ptq_bitwidth_sensitivity",
     "quantization_snr",
     "quantize_aware_train",
+    "quantize_aware_train_population",
     "quantize_tensor",
     "quantized_copy",
     "quantization_sweep",

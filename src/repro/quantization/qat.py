@@ -16,7 +16,8 @@ import numpy as np
 
 from ..datasets.preprocessing import PreparedData
 from ..nn.network import MLP
-from ..nn.trainer import TrainingHistory, finetune
+from ..nn.stacked import finetune_population
+from ..nn.trainer import TrainingHistory
 from .quantizers import Quantizer, SymmetricQuantizer
 
 
@@ -92,17 +93,42 @@ def quantize_aware_train(
     lie on the quantization grid and the shadow weights hold the QAT result.
     """
     config = config if config is not None else QATConfig()
-    attach_quantizers(model, config.weight_bits, config.quantize_bias)
-    return finetune(
-        model,
+    return quantize_aware_train_population([model], data, [config], seed=seed)[0]
+
+
+def quantize_aware_train_population(
+    models: Sequence[MLP],
+    data: PreparedData,
+    configs: Sequence[QATConfig],
+    seed: Optional[int] = None,
+) -> List[TrainingHistory]:
+    """:func:`quantize_aware_train` for several models, one config each, in place.
+
+    The configs may differ in ``weight_bits`` and ``quantize_bias`` only. All
+    fine-tuning passes run as one stack
+    (:func:`~repro.nn.stacked.finetune_population`), so model ``g`` ends
+    with the weights a serial fine-tuning of it alone gives.
+    """
+    models = list(models)
+    configs = list(configs)
+    if len(configs) != len(models):
+        raise ValueError(f"Got {len(configs)} QAT configs for {len(models)} models")
+    if len({(c.epochs, c.learning_rate, c.batch_size) for c in configs}) > 1:
+        raise ValueError("QAT configs must share epochs, learning_rate and batch_size")
+    for model, config in zip(models, configs):
+        attach_quantizers(model, config.weight_bits, config.quantize_bias)
+    if not models:
+        return []
+    return finetune_population(
+        models,
         data.train.features,
         data.train.labels,
         data.validation.features,
         data.validation.labels,
-        epochs=config.epochs,
-        learning_rate=config.learning_rate,
-        batch_size=config.batch_size,
-        seed=seed,
+        epochs=configs[0].epochs,
+        learning_rate=configs[0].learning_rate,
+        batch_size=configs[0].batch_size,
+        seeds=[seed] * len(models),
     )
 
 

@@ -4,7 +4,10 @@ The paper generates its quantization Pareto points by evaluating designs
 whose quantized weight precision ranges from 2 to 7 bits, each obtained with
 QAT. :func:`quantization_sweep` reproduces exactly that loop and returns one
 :class:`~repro.core.results.DesignPoint` per bit-width, synthesized with the
-bespoke area model.
+bespoke area model. The QAT passes of all bit-widths run as one stacked
+fine-tuning (:func:`~repro.quantization.qat.quantize_aware_train_population`),
+with the same weights per bit-width as a separate
+:func:`~repro.quantization.qat.quantize_aware_train`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from ..core.results import DesignPoint
 from ..datasets.preprocessing import PreparedData
 from ..hardware.technology import TechnologyLibrary
 from ..nn.network import MLP
-from .qat import QATConfig, quantize_aware_train
+from .qat import QATConfig, quantize_aware_train_population
 from .ptq import post_training_quantize
 
 #: Bit-widths examined by the paper's quantization sweep.
@@ -51,18 +54,18 @@ def quantization_sweep(
         One :class:`DesignPoint` per bit-width with test accuracy and the
         synthesized bespoke area.
     """
+    if use_qat:
+        candidates = [model.clone() for _ in bit_range]
+        quantize_aware_train_population(
+            candidates,
+            data,
+            [QATConfig(weight_bits=int(bits), epochs=qat_epochs) for bits in bit_range],
+            seed=seed,
+        )
+    else:
+        candidates = [post_training_quantize(model.clone(), int(bits)).model for bits in bit_range]
     points: List[DesignPoint] = []
-    for bits in bit_range:
-        candidate = model.clone()
-        if use_qat:
-            quantize_aware_train(
-                candidate,
-                data,
-                QATConfig(weight_bits=int(bits), epochs=qat_epochs),
-                seed=seed,
-            )
-        else:
-            candidate = post_training_quantize(candidate, int(bits)).model
+    for bits, candidate in zip(bit_range, candidates):
         accuracy = candidate.evaluate_accuracy(data.test.features, data.test.labels)
         report = synthesize(
             candidate,

@@ -24,7 +24,12 @@ import numpy as np
 from ..bespoke.circuit import BespokeConfig
 from ..bespoke.simulator import FixedPointSimulator, population_accuracy
 from ..bespoke.synthesis import synthesize_cost_only
-from ..clustering.weight_clustering import cluster_model_weights, reproject_clusters
+from ..clustering.weight_clustering import (
+    cluster_model_weights,
+    cluster_population_weights,
+    reproject_clusters,
+    reproject_population_clusters,
+)
 from ..core import profiling
 from ..core.pipeline import PreparedPipeline
 from ..core.results import DesignPoint
@@ -54,6 +59,31 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _pruned_clone(genome: Genome, prepared: PreparedPipeline):
+    """A fresh baseline clone with the genome's pruning masks in place."""
+    model = prepared.baseline_model.clone()
+    dense_layers = model.dense_layers
+    if genome.n_layers != len(dense_layers):
+        raise ValueError(
+            f"Genome covers {genome.n_layers} layers but the model has {len(dense_layers)}"
+        )
+    if any(s > 0.0 for s in genome.sparsity):
+        with profiling.stage("prune"):
+            prune_by_magnitude(model, list(genome.sparsity), global_ranking=False)
+    return model
+
+
+def _cluster_budgets(genome: Genome) -> Optional[List[int]]:
+    """Per-layer cluster budgets (``None`` when the genome clusters nothing).
+
+    A layer gene of 0 means "not clustered": its budget is large enough to
+    keep every distinct value.
+    """
+    if not any(c > 0 for c in genome.clusters):
+        return None
+    return [c if c > 0 else 10**6 for c in genome.clusters]
+
+
 def _apply_minimizations(
     genome: Genome,
     prepared: PreparedPipeline,
@@ -62,26 +92,14 @@ def _apply_minimizations(
 ):
     """Prune, cluster and attach quantizers on a fresh baseline clone.
 
-    The per-genome preamble shared by the serial and stacked evaluation
-    paths — everything of :func:`apply_genome` except the fine-tuning pass.
-    Returns ``(model, clustering_result)``.
+    The per-genome preamble of the serial path — everything of
+    :func:`apply_genome` except the fine-tuning pass. Returns
+    ``(model, clustering_result)``.
     """
-    model = prepared.baseline_model.clone()
-    dense_layers = model.dense_layers
-    if genome.n_layers != len(dense_layers):
-        raise ValueError(
-            f"Genome covers {genome.n_layers} layers but the model has {len(dense_layers)}"
-        )
-
-    # 1. Pruning (masks stay in place for the rest of the flow).
-    if any(s > 0.0 for s in genome.sparsity):
-        with profiling.stage("prune"):
-            prune_by_magnitude(model, list(genome.sparsity), global_ranking=False)
-
-    # 2. Weight clustering on the surviving weights.
+    model = _pruned_clone(genome, prepared)
     clustering_result = None
-    if any(c > 0 for c in genome.clusters):
-        budgets = [c if c > 0 else 10**6 for c in genome.clusters]
+    budgets = _cluster_budgets(genome)
+    if budgets is not None:
         with profiling.stage("cluster"):
             clustering_result = cluster_model_weights(
                 model,
@@ -89,10 +107,46 @@ def _apply_minimizations(
                 seed=seed,
                 per_position=settings.per_position_clustering,
             )
-
-    # 3. Fake-quantizers for the QAT fine-tuning and the bespoke mapping.
     attach_quantizers(model, list(genome.weight_bits))
     return model, clustering_result
+
+
+def _apply_population_minimizations(
+    genomes: Sequence[Genome],
+    prepared: PreparedPipeline,
+    settings: _EvaluationSettings,
+    seeds: Sequence[Optional[int]],
+):
+    """:func:`_apply_minimizations` for a whole population.
+
+    Per-position clustering of every genome runs as one population-wide
+    k-means (:func:`~repro.clustering.cluster_population_weights`), with
+    the same models and clustering results as the per-genome preamble.
+    Returns ``(models, clustering_results)``.
+    """
+    models = [_pruned_clone(genome, prepared) for genome in genomes]
+    budgets = [_cluster_budgets(genome) for genome in genomes]
+    clustered = [index for index, budget in enumerate(budgets) if budget is not None]
+    clusterings = [None] * len(genomes)
+    with profiling.stage("cluster"):
+        if settings.per_position_clustering:
+            results = cluster_population_weights(
+                [models[index] for index in clustered],
+                [budgets[index] for index in clustered],
+                [seeds[index] for index in clustered],
+            )
+        else:
+            results = [
+                cluster_model_weights(
+                    models[index], budgets[index], seed=seeds[index], per_position=False
+                )
+                for index in clustered
+            ]
+    for index, result in zip(clustered, results):
+        clusterings[index] = result
+    for model, genome in zip(models, genomes):
+        attach_quantizers(model, list(genome.weight_bits))
+    return models, clusterings
 
 
 def apply_genome(
@@ -245,11 +299,12 @@ def evaluate_genomes_stacked(
 ) -> List[DesignPoint]:
     """Evaluate a whole population as one stacked tensor program.
 
-    The per-genome preamble (pruning, clustering, quantizer attachment) and
-    the final synthesis stay per-genome loops — they are either cheap or
-    fully memoized — while the two tensor-heavy stages are batched across
-    the population:
+    Pruning, quantizer attachment and the final synthesis stay per-genome
+    loops, while the heavy stages are batched across the population:
 
+    * per-position weight clustering solves every row of every genome in
+      one population-wide k-means
+      (:func:`repro.clustering.cluster_population_weights`),
     * quantization-aware fine-tuning runs through
       :func:`repro.nn.stacked.finetune_stacked` (one ``(G, ...)`` tensor
       program instead of G serial trainings), and
@@ -285,14 +340,9 @@ def evaluate_genomes_stacked(
         return _serial_fallback()
 
     with profiling.stage("evaluate_population_stacked"):
-        models = []
-        clusterings = []
-        for genome, seed in zip(genomes, seeds):
-            model, clustering_result = _apply_minimizations(
-                genome, prepared, settings, seed
-            )
-            models.append(model)
-            clusterings.append(clustering_result)
+        models, clusterings = _apply_population_minimizations(
+            genomes, prepared, settings, seeds
+        )
         if not supports_stacking(models):
             # Finish serially on the models already built — re-running the
             # pruning/clustering preamble would only repeat identical work.
@@ -320,9 +370,11 @@ def evaluate_genomes_stacked(
                 seeds=seeds,
                 backend=settings.backend,
             )
-        for model, clustering_result in zip(models, clusterings):
-            if clustering_result is not None:
-                reproject_clusters(model, clustering_result)
+        clustered = [index for index, result in enumerate(clusterings) if result is not None]
+        reproject_population_clusters(
+            [models[index] for index in clustered],
+            [clusterings[index] for index in clustered],
+        )
 
         bespoke_configs = [_bespoke_config(genome, prepared) for genome in genomes]
         test = data.test
