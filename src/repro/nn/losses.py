@@ -11,6 +11,8 @@ from typing import Dict, Tuple, Type
 
 import numpy as np
 
+from .rowwise import row_max, row_sum
+
 _EPS = 1e-12
 
 
@@ -104,6 +106,56 @@ class SoftmaxCrossEntropy(Loss):
         probs = self._softmax(logits)
         n = logits.shape[0] if logits.ndim > 1 else 1
         return (probs - targets) / n
+
+
+def _softmax_pick(logits: np.ndarray, labels: np.ndarray):
+    """Row softmax of ``logits`` plus each row's label entry.
+
+    Returns ``(probs, index, picked)``: a fresh softmax buffer, the flat
+    positions of the label entries in it, and their values. ``labels`` holds
+    class indices and broadcasts against ``logits.shape[:-1]``.
+    """
+    probs = np.subtract(logits, row_max(logits), order="C")
+    np.exp(probs, out=probs)
+    probs /= row_sum(probs)
+    n_classes = probs.shape[-1]
+    index = labels + np.arange(0, probs.size, n_classes).reshape(probs.shape[:-1])
+    return probs, index, probs.reshape(-1).take(index)
+
+
+def _label_loss(picked: np.ndarray) -> np.ndarray:
+    return -np.log(np.minimum(np.maximum(picked, _EPS), 1.0))
+
+
+def sparse_softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-sample :class:`SoftmaxCrossEntropy` against integer labels.
+
+    Returns an array of shape ``logits.shape[:-1]``; its mean over the
+    sample axis equals ``SoftmaxCrossEntropy().forward`` with one-hot
+    targets bit for bit. The one-hot form sums one ``log`` term and
+    ``C - 1`` signed zeros, which adds nothing, so reading the label's
+    probability directly gives the same float. Labels must lie in
+    ``[0, C)``; they are not checked here.
+    """
+    _probs, _index, picked = _softmax_pick(logits, labels)
+    return _label_loss(picked)
+
+
+def sparse_softmax_cross_entropy_with_grad(
+    logits: np.ndarray, labels: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-sample losses and the gradient of their mean over axis ``-2``.
+
+    The gradient equals ``SoftmaxCrossEntropy().backward`` with one-hot
+    targets bit for bit: subtracting the target's ``0.0`` leaves a
+    probability unchanged, so only the label entries change, by ``- 1.0``.
+    The softmax is computed once and shared with the loss.
+    """
+    probs, index, picked = _softmax_pick(logits, labels)
+    losses = _label_loss(picked)
+    probs.reshape(-1)[index] = picked - 1.0
+    probs /= logits.shape[-2]
+    return losses, probs
 
 
 class HingeLoss(Loss):

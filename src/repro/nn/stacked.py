@@ -27,9 +27,30 @@ through exactly the float operations the serial
 * Per-genome learning-rate decay is a ``(G, 1)`` broadcast column in
   :class:`~repro.nn.optimizers.StackedAdam`.
 
-``tests/test_stacked_trainer.py`` asserts exact byte equality of weights and
-training histories against the serial path, including heterogeneous
-early-stopping populations.
+The softmax cross-entropy avoids numpy's slow loops along the short class
+axis with rewrites that are exact, not approximate (both trainers share
+them through :func:`~repro.nn.losses.sparse_softmax_cross_entropy_with_grad`):
+
+* The row max is a left fold of ``np.maximum`` over the class columns
+  (:func:`~repro.nn.rowwise.row_max`); max is exact.
+* The softmax denominator is a sequential fold of the columns starting from
+  ``0.0`` (:func:`~repro.nn.rowwise.row_sum`), which is numpy's own order up
+  to 7 columns; wider rows keep ``.sum``.
+* The loss reads the label's probability instead of summing a one-hot
+  product. That sum holds one ``log`` term and signed zeros, which add
+  nothing, so clip and log run on ``(G, B)`` with the same result.
+* The gradient is the softmax minus ``1.0`` at the label: subtracting a
+  one-hot ``0.0`` leaves every other entry unchanged.
+* Bias adds happen in place on the fresh matmul output: the same add.
+* The bias gradient sums a ``(B, G*K)`` copy of the gradient over axis 0,
+  the same sequential fold over the batch as the serial ``(B, K)`` sum.
+
+``tests/test_stacked_trainer.py`` and ``tests/test_stacked_trainer_shapes.py``
+assert exact byte equality of weights and training histories against the
+serial path, including heterogeneous early-stopping populations, 2 to 9
+classes, two hidden layers and a short last batch;
+``tests/test_rowwise.py`` checks each rewrite against the numpy expression
+it replaces.
 """
 
 from __future__ import annotations
@@ -40,9 +61,10 @@ import numpy as np
 
 from ..core.backend import ArrayBackend, resolve_backend
 from .layers import ActivationLayer, Dense
+from .losses import sparse_softmax_cross_entropy, sparse_softmax_cross_entropy_with_grad
 from .network import MLP
 from .optimizers import StackedAdam
-from .trainer import TrainerConfig, TrainingHistory, _one_hot, finetune
+from .trainer import TrainerConfig, TrainingHistory, _class_labels, finetune
 
 
 def _layer_signature(model: MLP) -> Tuple:
@@ -321,19 +343,17 @@ class StackedTrainer:
         broken out of the epoch loop at the same point).
         """
         cfg = self.config
+        n_classes = self.models[0].topology()[-1]
         x_train = np.asarray(x_train, dtype=np.float64)
-        y_train = np.asarray(y_train).reshape(-1).astype(int)
+        y_train = _class_labels(y_train, n_classes)
         if x_train.shape[0] != y_train.shape[0]:
             raise ValueError(
                 f"x_train has {x_train.shape[0]} rows but y_train has {y_train.shape[0]}"
             )
-        n_classes = self.models[0].topology()[-1]
-        targets = _one_hot(y_train, n_classes)
         has_val = x_val is not None and y_val is not None
         if has_val:
             x_val = np.asarray(x_val, dtype=np.float64)
-            y_val = np.asarray(y_val).reshape(-1).astype(int)
-            val_targets = _one_hot(y_val, n_classes)
+            y_val = _class_labels(y_val, n_classes)
 
         n_models = len(self.models)
         n_samples = x_train.shape[0]
@@ -360,15 +380,14 @@ class StackedTrainer:
                 break
             self._run_epoch(
                 params, grad_flat, pack, views, optimizer, rngs, active,
-                x_train, targets, n_samples, histories,
+                x_train, y_train, n_samples, histories,
             )
             # Post-epoch evaluation on the freshly re-quantized parameters.
             train_scores = self._forward(x_train, views)
-            train_predictions = self.ops.argmax(train_scores)
-            train_accuracies = (train_predictions == y_train).mean(axis=-1)
+            train_accuracies = (self.ops.argmax(train_scores) == y_train).mean(axis=-1)
             if has_val:
                 val_scores = self._forward(x_val, views)
-                val_losses = _softmax_cross_entropy_rows(val_scores, val_targets)
+                val_losses = sparse_softmax_cross_entropy(val_scores, y_val).mean(axis=-1)
                 val_accuracies = (self.ops.argmax(val_scores) == y_val).mean(axis=-1)
 
             stopped_rows: List[int] = []
@@ -407,10 +426,7 @@ class StackedTrainer:
             if stopped_rows:
                 for row in stopped_rows:
                     final_params[active[row]] = params[row].copy()
-                keep = np.array(
-                    [row for row in range(len(active)) if row not in set(stopped_rows)],
-                    dtype=np.intp,
-                )
+                keep = np.delete(np.arange(len(active)), stopped_rows)
                 active = [active[row] for row in keep]
                 params = params[keep]
                 grad_flat = np.empty_like(params)
@@ -434,11 +450,12 @@ class StackedTrainer:
         rngs: List[np.random.Generator],
         active: List[int],
         x_train: np.ndarray,
-        targets: np.ndarray,
+        y_train: np.ndarray,
         n_samples: int,
         histories: List[TrainingHistory],
-    ) -> np.ndarray:
-        """One stacked epoch; returns the post-epoch effective parameters."""
+    ) -> None:
+        """One stacked epoch; leaves the post-epoch effective parameters in
+        ``pack["effective"]`` (which ``views`` look into)."""
         cfg = self.config
         orders = np.empty((len(active), n_samples), dtype=np.intp)
         base = np.arange(n_samples)
@@ -448,7 +465,7 @@ class StackedTrainer:
                 rngs[row].shuffle(order)
             orders[row] = order
         x_all = x_train[orders]
-        y_all = targets[orders]
+        y_all = y_train[orders]
 
         total_loss = np.zeros(len(active))
         n_batches = 0
@@ -466,17 +483,12 @@ class StackedTrainer:
                     view = views[dense_index]
                     out = self.ops.matmul(out, view["weights"])
                     if view["bias"] is not None:
-                        out = out + view["bias"][:, None, :]
+                        out += view["bias"][:, None, :]
                 else:
                     out = activation.forward(out)
 
-            # Fused softmax cross-entropy, row-wise over the population.
-            shifted = out - out.max(axis=-1, keepdims=True)
-            exp = np.exp(shifted, out=shifted)
-            probs = exp / exp.sum(axis=-1, keepdims=True)
-            clipped = np.minimum(np.maximum(probs, 1e-12), 1.0)
-            total_loss += (-(y_batch * np.log(clipped)).sum(axis=-1)).mean(axis=-1)
-            grad = (probs - y_batch) / out.shape[1]
+            losses, grad = sparse_softmax_cross_entropy_with_grad(out, y_batch)
+            total_loss += losses.mean(axis=-1)
 
             # Backward; per-tensor gradients scattered into the flat stack.
             # The input gradient of the model's literal first layer is dead
@@ -496,7 +508,16 @@ class StackedTrainer:
                         grad_weights.shape[0], -1
                     )
                     if bias_segment is not None:
-                        grad_flat[:, bias_segment["slice"]] = grad.sum(axis=1)
+                        # Summed over a (B, G*K) copy: the same sequential
+                        # fold over the batch as the serial (B, K) sum, with
+                        # a wide inner loop instead of a K-wide one per row.
+                        n_rows, batch, width = grad.shape
+                        grad_flat[:, bias_segment["slice"]] = (
+                            grad.transpose(1, 0, 2)
+                            .reshape(batch, n_rows * width)
+                            .sum(axis=0)
+                            .reshape(n_rows, width)
+                        )
                     if plan_index != 0:
                         grad = self.ops.matmul(grad, view["weights"].transpose(0, 2, 1))
                 else:
@@ -510,7 +531,7 @@ class StackedTrainer:
             histories[genome].train_loss.append(float(per_genome_loss[row]))
         # Re-quantize once for the post-epoch metrics (the serial path's
         # effective-weight cache recompute after the last optimizer step).
-        return self._apply_pack(pack, params)
+        self._apply_pack(pack, params)
 
     def _segments_for(self, dense_index: int) -> Tuple[dict, Optional[dict]]:
         weight_segment = None
@@ -531,7 +552,7 @@ class StackedTrainer:
                 view = views[dense_index]
                 out = self.ops.matmul(out, view["weights"])
                 if view["bias"] is not None:
-                    out = out + view["bias"][:, None, :]
+                    out += view["bias"][:, None, :]
             else:
                 out = activation.forward(out)
         return out
@@ -575,20 +596,6 @@ class StackedTrainer:
                     layer.weights = values
                 else:
                     layer.bias = values
-
-
-def _softmax_cross_entropy_rows(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-genome SoftmaxCrossEntropy.forward over ``(G, N, C)`` scores.
-
-    Replicates :meth:`repro.nn.losses.SoftmaxCrossEntropy.forward` (including
-    its ``np.clip``) per population row; returns a ``(G,)`` loss vector.
-    """
-    shifted = scores - np.max(scores, axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / np.sum(exp, axis=-1, keepdims=True)
-    probs = np.clip(probs, 1e-12, 1.0)
-    per_sample = -np.sum(targets * np.log(probs), axis=-1)
-    return np.mean(per_sample, axis=-1)
 
 
 def finetune_stacked(

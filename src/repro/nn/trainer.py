@@ -17,7 +17,12 @@ import numpy as np
 
 from ..hardware.fixed_point import derive_scale
 from .layers import ActivationLayer, Dense
-from .losses import Loss, SoftmaxCrossEntropy, get_loss
+from .losses import (
+    Loss,
+    SoftmaxCrossEntropy,
+    get_loss,
+    sparse_softmax_cross_entropy_with_grad,
+)
 from .metrics import accuracy
 from .network import MLP
 from .optimizers import Adam, Optimizer, get_optimizer
@@ -87,6 +92,16 @@ def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
+def _class_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Integer class labels, checked against the model's output width."""
+    labels = np.asarray(labels).reshape(-1).astype(int)
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise ValueError(
+            f"labels must lie in [0, {n_classes}), got [{labels.min()}, {labels.max()}]"
+        )
+    return labels
+
+
 class Trainer:
     """Fits an :class:`~repro.nn.network.MLP` on labelled data.
 
@@ -143,22 +158,22 @@ class Trainer:
     ) -> TrainingHistory:
         """Train the model; returns the per-epoch history.
 
-        ``y_train`` / ``y_val`` are integer class labels; they are one-hot
-        encoded internally against the model's output width.
+        ``y_train`` / ``y_val`` are integer class labels in
+        ``[0, n_classes)`` of the model's output width (``ValueError``
+        otherwise).
         """
+        n_classes = self.model.topology()[-1]
         x_train = np.asarray(x_train, dtype=np.float64)
-        y_train = np.asarray(y_train).reshape(-1).astype(int)
+        y_train = _class_labels(y_train, n_classes)
         if x_train.shape[0] != y_train.shape[0]:
             raise ValueError(
                 f"x_train has {x_train.shape[0]} rows but y_train has {y_train.shape[0]}"
             )
-        n_classes = self.model.topology()[-1]
-        targets = _one_hot(y_train, n_classes)
 
         has_val = x_val is not None and y_val is not None
         if has_val:
             x_val = np.asarray(x_val, dtype=np.float64)
-            y_val = np.asarray(y_val).reshape(-1).astype(int)
+            y_val = _class_labels(y_val, n_classes)
             val_targets = _one_hot(y_val, n_classes)
 
         history = TrainingHistory()
@@ -167,11 +182,15 @@ class Trainer:
         best_weights = None
         epochs_without_improvement = 0
         dense_layers = self.model.dense_layers
+        # The fused step gathers integer labels; the reference loop hands
+        # one-hot targets to the generic loss.
         if self._supports_fused_epoch():
             run_epoch = self._run_epoch_fused
+            targets = y_train
             self._quant_pack = self._build_quant_pack(dense_layers)
         else:
             run_epoch = self._run_epoch
+            targets = _one_hot(y_train, n_classes)
             self._quant_pack = None
         for layer in dense_layers:
             layer.set_effective_cache(True)
@@ -357,7 +376,7 @@ class Trainer:
             else:
                 segment["layer"]._cached_effective_bias = view
 
-    def _run_epoch_fused(self, inputs: np.ndarray, targets: np.ndarray) -> float:
+    def _run_epoch_fused(self, inputs: np.ndarray, labels: np.ndarray) -> float:
         """Fused QAT training step over one epoch.
 
         Numerically identical to :meth:`_run_epoch` with less per-batch
@@ -371,7 +390,10 @@ class Trainer:
           quantizer derives its fixed-point format once per step;
         * the softmax is computed once and shared between the loss value and
           its gradient (the reference loss recomputes it from the same
-          logits, which yields the same floats);
+          logits, which yields the same floats), against integer labels
+          instead of one-hot targets
+          (:func:`~repro.nn.losses.sparse_softmax_cross_entropy_with_grad`,
+          exact by the argument in its docstring);
         * the first Dense layer's input gradient — discarded by definition —
           is never computed;
         * parameter/gradient lists are assembled locally and handed to the
@@ -384,7 +406,7 @@ class Trainer:
         if cfg.shuffle:
             self._rng.shuffle(order)
         x_all = inputs[order]
-        y_all = targets[order]
+        y_all = labels[order]
 
         dense_layers = model.dense_layers
         # The input gradient is dead only for the model's *first* layer; a
@@ -421,19 +443,12 @@ class Trainer:
                 if is_dense:
                     out = out @ layer.effective_weights()
                     if layer.use_bias:
-                        out = out + layer.effective_bias()
+                        out += layer.effective_bias()
                 else:
                     out = activation.forward(out)
 
-            # Fused softmax cross-entropy: one softmax for value + gradient,
-            # ufunc-method calls in place of the np.* dispatch wrappers
-            # (identical floats; clip == minimum(maximum())).
-            shifted = out - out.max(axis=-1, keepdims=True)
-            exp = np.exp(shifted)
-            probs = exp / exp.sum(axis=-1, keepdims=True)
-            clipped = np.minimum(np.maximum(probs, 1e-12), 1.0)
-            total_loss += float((-(y_batch * np.log(clipped)).sum(axis=-1)).mean())
-            grad = (probs - y_batch) / out.shape[0]
+            losses, grad = sparse_softmax_cross_entropy_with_grad(out, y_batch)
+            total_loss += float(losses.mean())
 
             # Backward; gradients collected in model.parameters order.
             gradients = []
