@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from benchlib import BACKEND, SMOKE, bench_config, record_bench
+from benchlib import SMOKE, bench_config, record_bench
 from repro.core import MinimizationPipeline, PipelineConfig
 from repro.search import EvaluationSettings, GAConfig, HardwareAwareGA
 
@@ -42,7 +42,7 @@ def prepared():
 
 
 def _run_search(prepared, stacked: bool, population: int):
-    settings = EvaluationSettings(finetune_epochs=_FINETUNE_EPOCHS, backend=BACKEND)
+    settings = EvaluationSettings(finetune_epochs=_FINETUNE_EPOCHS)
     config = GAConfig(
         population_size=population,
         n_generations=_GENERATIONS,
@@ -66,7 +66,7 @@ def test_generation_throughput_stacked_vs_loop(prepared):
     # Warm the hardware-cost memos and numpy so neither path pays cold-start.
     _run_search(prepared, stacked=True, population=min(_POPULATIONS))
 
-    payload = {"generations": _GENERATIONS, "backend": BACKEND, "by_population": {}}
+    payload = {"generations": _GENERATIONS, "by_population": {}}
     speedups = []
     for population in _POPULATIONS:
         loop_s = stacked_s = float("inf")
@@ -78,15 +78,12 @@ def test_generation_throughput_stacked_vs_loop(prepared):
             stacked_s = min(stacked_s, seconds)
 
         # The stacked path must be numerically invisible: same fronts, same
-        # evaluation counts, same all-points trajectory. Byte equality is the
-        # numpy backend's contract; accelerated backends (REPRO_BENCH_BACKEND)
-        # only promise allclose floats, so there only the counts are checked.
+        # evaluation counts, same all-points trajectory.
         assert stacked_result.n_evaluations == loop_result.n_evaluations
-        if BACKEND == "numpy":
-            assert _front_signature(stacked_result) == _front_signature(loop_result)
-            assert [(p.accuracy, p.area) for p in stacked_result.all_points] == [
-                (p.accuracy, p.area) for p in loop_result.all_points
-            ]
+        assert _front_signature(stacked_result) == _front_signature(loop_result)
+        assert [(p.accuracy, p.area) for p in stacked_result.all_points] == [
+            (p.accuracy, p.area) for p in loop_result.all_points
+        ]
 
         evaluations = loop_result.n_evaluations
         speedup = (evaluations / stacked_s) / (evaluations / loop_s)

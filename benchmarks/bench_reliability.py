@@ -16,7 +16,7 @@ Two studies:
 
 import pytest
 
-from benchlib import BACKEND, SMOKE, bench_config, record_bench, timed
+from benchlib import SMOKE, bench_config, record_bench, timed
 from repro.bespoke import BespokeConfig, FixedPointSimulator
 from repro.core import MinimizationPipeline, PipelineConfig
 from repro.pruning import prune_by_magnitude
@@ -113,16 +113,14 @@ def test_monte_carlo_vectorized_speedup(print_rows):
 
     # Warm numpy/BLAS so neither path pays cold-start dispatch.
     warm = FaultInjectionConfig(fault_rate=0.05, fault_model="short", n_trials=2, seed=0)
-    monte_carlo_fault_injection(
-        simulator, data.test.features, data.test.labels, warm, backend=BACKEND
-    )
+    monte_carlo_fault_injection(simulator, data.test.features, data.test.labels, warm)
     monte_carlo_fault_injection_reference(
         simulator, data.test.features, data.test.labels, warm
     )
 
     vectorized, vectorized_s = _best_of(
         lambda: monte_carlo_fault_injection(
-            simulator, data.test.features, data.test.labels, config, backend=BACKEND
+            simulator, data.test.features, data.test.labels, config
         ),
         _MC_REPEATS,
     )
@@ -154,7 +152,7 @@ def test_monte_carlo_vectorized_speedup(print_rows):
     ]
     population, population_s = _best_of(
         lambda: monte_carlo_population(
-            simulators, data.test.features, data.test.labels, configs, backend=BACKEND
+            simulators, data.test.features, data.test.labels, configs
         ),
         _MC_REPEATS,
     )
@@ -175,7 +173,6 @@ def test_monte_carlo_vectorized_speedup(print_rows):
     payload = {
         "n_trials": _MC_TRIALS,
         "n_samples": int(data.test.n_samples),
-        "backend": BACKEND,
         "single": {
             "reference_s": reference_s,
             "vectorized_s": vectorized_s,

@@ -31,12 +31,6 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 #: Worker processes for search benchmarks (REPRO_BENCH_WORKERS, default serial).
 WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 
-#: Array backend the kernels run on (REPRO_BENCH_BACKEND, default numpy).
-#: Recorded with every section so BENCH_history.json entries from different
-#: backends are never conflated; the numpy regression floors only apply to
-#: numpy-backend runs.
-BACKEND = os.environ.get("REPRO_BENCH_BACKEND") or "numpy"
-
 
 def _bench_mode() -> str:
     return "full" if FULL else ("smoke" if SMOKE else "default")
@@ -89,7 +83,6 @@ def _append_history(section: str, payload: dict) -> None:
         "payload": payload,
         "mode": _bench_mode(),
         "workers": WORKERS,
-        "backend": BACKEND,
         "python": platform.python_version(),
         "unix": now,
     }
@@ -124,7 +117,6 @@ def record_bench(section: str, payload: dict) -> None:
             "updated_unix": round(time.time(), 3),
             "mode": _bench_mode(),
             "workers": WORKERS,
-            "backend": BACKEND,
         }
     )
     data[section] = payload

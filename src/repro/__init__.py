@@ -22,9 +22,8 @@ Sub-packages:
 * :mod:`repro.bespoke` — bespoke circuit generation and synthesis reports.
 * :mod:`repro.quantization` / :mod:`repro.pruning` / :mod:`repro.clustering`
   — the three minimization techniques.
-* :mod:`repro.core` — design points, Pareto analysis, the evaluation
-  pipeline, and the pluggable array-backend registry
-  (:mod:`repro.core.backend`).
+* :mod:`repro.core` — design points, Pareto analysis and the evaluation
+  pipeline.
 * :mod:`repro.reliability` — Monte-Carlo fault injection for hard-wired
   classifiers.
 * :mod:`repro.search` — the hardware-aware genetic algorithm.
@@ -32,27 +31,18 @@ Sub-packages:
 * :mod:`repro.experiments` — Figure/Table reproduction drivers.
 """
 
-# ``repro.core`` is imported first on purpose: it loads the array-backend
-# registry (``repro.core.backend``) before any subsystem that consumes it,
-# which keeps the core -> bespoke -> nn -> core.backend import chain acyclic.
 from .core import (
-    ArrayBackend,
     DesignPoint,
     MinimizationPipeline,
     NormalizedPoint,
     PipelineConfig,
     SweepResult,
     area_gain_table,
-    available_backends,
     best_area_gain_at_loss,
     evaluate_dataset,
     fast_config,
-    get_backend,
     pareto_front,
-    register_backend,
-    resolve_backend,
 )
-
 from .bespoke import (
     BespokeConfig,
     FixedPointSimulator,
@@ -79,7 +69,6 @@ from .search import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "ArrayBackend",
     "BespokeConfig",
     "CampaignRunner",
     "CampaignSpec",
@@ -98,22 +87,18 @@ __all__ = [
     "SynthesisReport",
     "__version__",
     "area_gain_table",
-    "available_backends",
     "best_area_gain_at_loss",
     "build_mlp",
     "create_evaluator",
     "egt_library",
     "evaluate_dataset",
     "fast_config",
-    "get_backend",
     "get_technology",
     "load_dataset",
     "load_spec",
     "monte_carlo_fault_injection",
     "pareto_front",
     "prepare_split",
-    "register_backend",
-    "resolve_backend",
     "resolve_evaluation_settings",
     "run_combined_search",
     "synthesize",

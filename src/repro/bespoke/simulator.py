@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.backend import resolve_backend
 from ..hardware.fixed_point import FixedPointFormat, derive_format
 from ..nn.network import MLP
 from .circuit import BespokeConfig, _dense_relu_flags
@@ -261,7 +260,6 @@ def validate_population(simulators: Sequence["FixedPointSimulator"]) -> None:
 def simulate_population(
     simulators: Sequence["FixedPointSimulator"],
     features: np.ndarray,
-    backend=None,
 ) -> np.ndarray:
     """Population-axis extension of :meth:`FixedPointSimulator.simulate_batch`.
 
@@ -270,16 +268,13 @@ def simulate_population(
     batch through every circuit with one batched integer matmul per layer:
     ``(G, n_samples, n_outputs)`` integer scores, where slice ``g`` is
     *exactly* ``simulators[g].simulate_batch(features)`` — the datapath is
-    pure int64 arithmetic, so batching cannot change a single bit (on any
-    backend: integer matmul is exact everywhere, see ``docs/backends.md``).
+    pure int64 arithmetic, so batching cannot change a single bit.
 
     All simulators must share input bit-width, layer shapes and ReLU flags
     (see :func:`validate_population`); only the integer coefficients may
-    differ. ``backend`` names the array backend (``None`` = resolve via
-    :func:`repro.core.backend.resolve_backend`).
+    differ.
     """
     validate_population(simulators)
-    ops = resolve_backend(backend)
     first = simulators[0]
     activations = first.quantize_inputs(features)
     if activations.shape[1] != first.layers[0].n_inputs:
@@ -294,7 +289,7 @@ def simulate_population(
         bias = np.stack(
             [simulator.layers[layer_index].bias for simulator in simulators]
         )
-        accumulators = ops.matmul(out, weights) + bias[:, None, :]
+        accumulators = np.matmul(out, weights) + bias[:, None, :]
         if first.layers[layer_index].relu:
             accumulators = np.maximum(accumulators, 0)
         out = accumulators
@@ -305,19 +300,17 @@ def population_accuracy(
     simulators: Sequence["FixedPointSimulator"],
     features: np.ndarray,
     labels: np.ndarray,
-    backend=None,
 ) -> np.ndarray:
     """Top-1 accuracy of every circuit of a population in one batched pass.
 
     Returns a ``(G,)`` float vector; entry ``g`` equals
     ``simulators[g].evaluate_accuracy(features, labels)`` exactly (scores
-    are integers and every backend's argmax uses the first-occurrence tie
-    rule).
+    are integers and ``np.argmax`` keeps the first of tied maxima, as the
+    serial path does).
     """
-    ops = resolve_backend(backend)
     labels = np.asarray(labels).reshape(-1).astype(int)
-    scores = simulate_population(simulators, features, backend=ops)
-    predictions = ops.argmax(scores)
+    scores = simulate_population(simulators, features)
+    predictions = np.argmax(scores, axis=-1)
     return (predictions == labels).mean(axis=-1)
 
 

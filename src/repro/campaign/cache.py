@@ -86,9 +86,15 @@ def evaluation_context_key(
         "halving_budgets",
     ):
         pipeline.pop(search_only_knob, None)
+    evaluation = asdict(settings)
+    # Earlier builds had an array-backend knob on both configs; the payload
+    # keeps the values they hashed (the pipeline's unset knob, the resolved
+    # settings' "numpy") so their cache shards and fabric workers still match.
+    pipeline["backend"] = None
+    evaluation["backend"] = "numpy"
     payload = {
         "pipeline": pipeline,
-        "settings": asdict(settings),
+        "settings": evaluation,
         "seed": None if seed is None else int(seed),
     }
     canonical = json.dumps(payload, sort_keys=True, default=list)

@@ -105,7 +105,7 @@ def execute_job(
     ga_config: Optional[GAConfig] = None
     if job.algorithm == "ga":
         ga_config = GAConfig(**params, seed=job.seed)
-        # Every knob (fault settings, backend) resolves exactly as
+        # Every knob (fault settings) resolves exactly as
         # HardwareAwareGA would resolve it (GA params first, pipeline
         # overrides as the fallback), so the cache context key and the
         # search agree on what was evaluated.

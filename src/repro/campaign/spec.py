@@ -56,7 +56,6 @@ _GA_PARAMS = frozenset(
         "fault_rate",
         "n_fault_trials",
         "fault_model",
-        "backend",
         "surrogate",
         "surrogate_candidates",
         "surrogate_prefilter",

@@ -41,7 +41,6 @@ from .campaign import (
 )
 from .campaign.journal import CampaignJournal
 from .core import MinimizationPipeline, PipelineConfig, fast_config, profiling
-from .core.backend import registered_backends
 from .datasets import resolve_dataset_names
 from .experiments import (
     PAPER_HEADLINE_GAINS,
@@ -54,16 +53,10 @@ from .quantization import QATConfig, quantize_aware_train
 from .search import GAConfig
 
 
-def _pipeline_config(
-    dataset: str,
-    fast: bool,
-    seed: int,
-    workers: int = 1,
-    backend: Optional[str] = None,
-) -> PipelineConfig:
+def _pipeline_config(dataset: str, fast: bool, seed: int, workers: int = 1) -> PipelineConfig:
     if fast:
-        return fast_config(dataset, seed=seed, n_workers=workers, backend=backend)
-    return PipelineConfig(dataset=dataset, seed=seed, n_workers=workers, backend=backend)
+        return fast_config(dataset, seed=seed, n_workers=workers)
+    return PipelineConfig(dataset=dataset, seed=seed, n_workers=workers)
 
 
 def _cache_size_argument(value: str) -> int:
@@ -138,9 +131,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     for dataset in _datasets_argument(args.dataset):
         row = baseline_for(
             dataset,
-            config=_pipeline_config(
-                dataset, args.fast, args.seed, args.workers, args.backend
-            ),
+            config=_pipeline_config(dataset, args.fast, args.seed, args.workers),
         )
         print(row.format())
     return 0
@@ -149,9 +140,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 def _cmd_figure1(args: argparse.Namespace) -> int:
     gains_by_dataset = {}
     for dataset in _datasets_argument(args.dataset):
-        config = _pipeline_config(
-            dataset, args.fast, args.seed, args.workers, args.backend
-        )
+        config = _pipeline_config(dataset, args.fast, args.seed, args.workers)
         panel = run_figure1_panel(dataset, config=config)
         gains_by_dataset[dataset] = panel.area_gains
         print()
@@ -169,9 +158,7 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
-    config = _pipeline_config(
-        args.dataset, args.fast, args.seed, args.workers, args.backend
-    )
+    config = _pipeline_config(args.dataset, args.fast, args.seed, args.workers)
     ga_config = GAConfig(
         population_size=args.population,
         n_generations=args.generations,
@@ -209,9 +196,7 @@ def _cmd_ablations(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    config = _pipeline_config(
-        args.dataset, args.fast, args.seed, args.workers, args.backend
-    )
+    config = _pipeline_config(args.dataset, args.fast, args.seed, args.workers)
     pipeline = MinimizationPipeline(config)
     prepared = pipeline.prepare()
     model = prepared.baseline_model.clone()
@@ -420,7 +405,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             max_entries=args.cache_size,
-            backend=args.backend,
             enqueue_misses=args.enqueue_misses,
             refresh_seconds=args.refresh,
             refresh_reports=args.refresh_reports,
@@ -460,12 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "GA — other subcommands only carry it in their "
                               "pipeline config. Results are bit-identical at "
                               "any worker count")
-        sub.add_argument("--backend", default=None,
-                         choices=sorted(registered_backends()),
-                         help="array backend for the population tensor engine "
-                              "(default: numpy, or REPRO_BACKEND if set). The "
-                              "numpy backend is the bit-exact reference; torch "
-                              "requires the 'torch' extra")
         sub.add_argument("--profile", action="store_true",
                          help="print a stage-timing breakdown after the run: "
                               "the search stages (ga_selection / ga_sort / "
@@ -696,9 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="LRU bound on deserialized front views "
                                 "(default: unbounded; mirrors the evaluator "
                                 "cache's bound semantics)")
-    serve_cmd.add_argument("--backend", default=None,
-                           choices=sorted(registered_backends()),
-                           help="array backend for query filtering/ranking")
     serve_cmd.add_argument("--enqueue-misses", action="store_true",
                            help="publish a campaign job into the first "
                                 "campaign's fabric queue when a query misses "

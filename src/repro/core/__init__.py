@@ -1,16 +1,6 @@
 """Core API: design points, Pareto analysis, configs and the minimization pipeline."""
 
 from . import profiling
-from .backend import (
-    ArrayBackend,
-    NumpyBackend,
-    TorchBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    registered_backends,
-    resolve_backend,
-)
 from .config import (
     DEFAULT_BIT_RANGE,
     DEFAULT_CLUSTER_RANGE,
@@ -38,35 +28,27 @@ from .pipeline import (
 from .results import TECHNIQUES, DesignPoint, NormalizedPoint, SweepResult
 
 __all__ = [
-    "ArrayBackend",
     "DEFAULT_BIT_RANGE",
     "DEFAULT_CLUSTER_RANGE",
     "DEFAULT_SPARSITY_RANGE",
     "DesignPoint",
     "MinimizationPipeline",
     "NormalizedPoint",
-    "NumpyBackend",
     "PipelineConfig",
     "PreparedPipeline",
     "STANDALONE_TECHNIQUES",
     "SweepResult",
     "TECHNIQUES",
-    "TorchBackend",
     "area_gain_table",
-    "available_backends",
     "average_area_gain",
     "best_area_gain_at_loss",
     "dominates",
     "evaluate_dataset",
     "fast_config",
     "front_as_arrays",
-    "get_backend",
     "hypervolume",
     "hypervolume_objectives",
     "normalize_points",
     "pareto_front",
     "profiling",
-    "register_backend",
-    "registered_backends",
-    "resolve_backend",
 ]

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
-from .backend import validate_backend_name
-
 #: Default sweep ranges, matching the paper's evaluation section.
 DEFAULT_BIT_RANGE: Tuple[int, ...] = (2, 3, 4, 5, 6, 7)
 DEFAULT_SPARSITY_RANGE: Tuple[float, ...] = (0.2, 0.3, 0.4, 0.5, 0.6)
@@ -53,11 +51,6 @@ class PipelineConfig:
         n_fault_trials: Monte-Carlo trials per design point (0 = off).
         fault_model: defect mechanism injected (``"open"``, ``"short"`` or
             ``"level_shift"`` — see :mod:`repro.reliability`).
-        backend: array backend for the population tensor engine
-            (``"numpy"``, ``"torch"``, or a registered custom backend).
-            ``None`` (default) defers to the ``REPRO_BACKEND`` environment
-            variable and then numpy. See :mod:`repro.core.backend` and
-            ``docs/backends.md`` for exactness guarantees per backend.
         surrogate: surrogate model for surrogate-assisted search
             (``"ridge"`` or ``"mlp"``; ``None`` = off, the default). A
             cheap online-trained predictor prefilters GA offspring so only
@@ -97,14 +90,12 @@ class PipelineConfig:
     fault_rate: float = 0.0
     n_fault_trials: int = 0
     fault_model: str = "open"
-    backend: Optional[str] = None
     surrogate: Optional[str] = None
     surrogate_candidates: int = 4
     surrogate_prefilter: float = 0.25
     halving_budgets: Optional[Sequence[int]] = None
 
     def __post_init__(self) -> None:
-        validate_backend_name(self.backend, "PipelineConfig.backend")
         # Mirrors repro.surrogate.SURROGATE_MODELS (not imported here: core
         # must stay dependency-free of the search/surrogate stack).
         if self.surrogate is not None and self.surrogate not in ("ridge", "mlp"):
@@ -166,9 +157,7 @@ class PipelineConfig:
             raise ValueError("cluster_range entries must be >= 1")
 
 
-def fast_config(
-    dataset: str, seed: int = 0, n_workers: int = 1, backend: Optional[str] = None
-) -> PipelineConfig:
+def fast_config(dataset: str, seed: int = 0, n_workers: int = 1) -> PipelineConfig:
     """A reduced-cost configuration used by tests and quick examples.
 
     Smaller dataset realizations, fewer fine-tuning epochs and coarser sweep
@@ -185,5 +174,4 @@ def fast_config(
         cluster_range=(2, 4, 8),
         n_samples=600 if dataset.lower() != "seeds" else None,
         n_workers=n_workers,
-        backend=backend,
     )

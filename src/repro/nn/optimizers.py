@@ -11,8 +11,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from ..core.backend import resolve_backend
-
 
 class Optimizer:
     """Base optimizer: subclasses implement :meth:`update`."""
@@ -196,25 +194,10 @@ class Adam(Optimizer):
             for sl, param in zip(flat["slices"], parameters):
                 g[sl] += self.weight_decay * param.reshape(-1)
         flat["t"] = t = flat["t"] + 1
-        m, v, sq = flat["m"], flat["v"], flat["sq"]
-        step, denom = flat["step"], flat["denom"]
-        # Same per-element float sequence as the legacy loop, staged through
-        # preallocated buffers: m = beta1*m + (1-beta1)*g ; v = beta2*v + (1-beta2)*g*g
-        np.multiply(g, 1.0 - self.beta1, out=step)
-        m *= self.beta1
-        m += step
-        np.multiply(g, g, out=sq)
-        sq *= 1.0 - self.beta2
-        v *= self.beta2
-        v += sq
-        # param -= (lr * (m / c1)) / (sqrt(v / c2) + eps), evaluated in the
-        # legacy expression's order.
-        np.divide(m, 1.0 - self.beta1**t, out=step)
-        step *= self.learning_rate
-        np.divide(v, 1.0 - self.beta2**t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += self.epsilon
-        step /= denom
+        step = _adam_step(
+            g, flat["m"], flat["v"], flat["step"], flat["sq"], flat["denom"],
+            self.learning_rate, self.beta1, self.beta2, self.epsilon, t,
+        )
         for sl, param, shape in zip(flat["slices"], parameters, flat["shapes"]):
             param -= step[sl].reshape(shape)
 
@@ -251,9 +234,6 @@ class StackedAdam:
     Args:
         learning_rates: per-genome learning rates, shape ``(G,)``.
         beta1 / beta2 / epsilon: Adam hyper-parameters (shared by all rows).
-        backend: array backend for the fused step (name, instance, or
-            ``None`` = resolve via :func:`repro.core.backend.resolve_backend`).
-            The bit-identity statement above is for the numpy backend.
     """
 
     def __init__(
@@ -262,7 +242,6 @@ class StackedAdam:
         beta1: float = 0.9,
         beta2: float = 0.999,
         epsilon: float = 1e-8,
-        backend=None,
     ) -> None:
         rates = np.asarray(learning_rates, dtype=np.float64).reshape(-1, 1)
         if rates.size == 0 or np.any(rates <= 0):
@@ -277,7 +256,6 @@ class StackedAdam:
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
-        self.ops = resolve_backend(backend)
         self.t = 0
         self._m: Optional[np.ndarray] = None
         self._v: Optional[np.ndarray] = None
@@ -304,20 +282,9 @@ class StackedAdam:
             self._sq = np.empty_like(parameters)
             self._denom = np.empty_like(parameters)
         self.t += 1
-        # Identical per-element float sequence to Adam._update_fused.
-        self.ops.adam_step(
-            parameters,
-            gradients,
-            self._m,
-            self._v,
-            self._step,
-            self._sq,
-            self._denom,
-            self.learning_rates,
-            self.beta1,
-            self.beta2,
-            self.epsilon,
-            self.t,
+        parameters -= _adam_step(
+            gradients, self._m, self._v, self._step, self._sq, self._denom,
+            self.learning_rates, self.beta1, self.beta2, self.epsilon, self.t,
         )
 
     def compact(self, keep: np.ndarray) -> None:
@@ -364,6 +331,46 @@ class RMSProp(Optimizer):
 
     def reset_state(self) -> None:
         self._cache.clear()
+
+
+def _adam_step(
+    grads: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    step: np.ndarray,
+    sq: np.ndarray,
+    denom: np.ndarray,
+    learning_rate,
+    beta1: float,
+    beta2: float,
+    epsilon: float,
+    t: int,
+) -> np.ndarray:
+    """The fused Adam sequence, in place: update ``m``/``v``, return ``step``.
+
+    The caller subtracts the returned ``step`` buffer from its parameters.
+    ``learning_rate`` is a scalar (:class:`Adam`) or a ``(G, 1)`` column
+    (:class:`StackedAdam`); multiplying a row by its rate is the same IEEE
+    operation either way. The per-element float sequence is the legacy
+    loop's, staged through preallocated buffers:
+    ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g`` and
+    ``(lr * (m / c1)) / (sqrt(v / c2) + eps)`` in the legacy expression's
+    order.
+    """
+    np.multiply(grads, 1.0 - beta1, out=step)
+    m *= beta1
+    m += step
+    np.multiply(grads, grads, out=sq)
+    sq *= 1.0 - beta2
+    v *= beta2
+    v += sq
+    np.divide(m, 1.0 - beta1**t, out=step)
+    step *= learning_rate
+    np.divide(v, 1.0 - beta2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += epsilon
+    step /= denom
+    return step
 
 
 def _check_aligned(

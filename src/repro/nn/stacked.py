@@ -55,11 +55,10 @@ it replaces.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.backend import ArrayBackend, resolve_backend
 from .layers import ActivationLayer, Dense
 from .losses import sparse_softmax_cross_entropy, sparse_softmax_cross_entropy_with_grad
 from .network import MLP
@@ -131,6 +130,27 @@ def supports_stacking(models: Sequence[MLP]) -> bool:
     return True
 
 
+def _quantize(
+    values: np.ndarray,
+    scale: np.ndarray,
+    neg_level: np.ndarray,
+    pos_level: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """The fake-quantization pass into ``out``: divide, rint, clip, rescale.
+
+    The serial quantizer's exact float sequence, including the ``+ 0.0``
+    that normalizes IEEE ``-0.0``.
+    """
+    np.divide(values, scale, out=out)
+    np.rint(out, out=out)
+    np.maximum(out, neg_level, out=out)
+    np.minimum(out, pos_level, out=out)
+    out += 0.0
+    out *= scale
+    return out
+
+
 class StackedTrainer:
     """Trains G same-architecture MLPs as one stacked tensor program.
 
@@ -141,10 +161,6 @@ class StackedTrainer:
             genome then decays its own copy independently).
         config: training hyper-parameters, shared by the population.
         seeds: per-genome shuffle seeds (``None`` entries mean unseeded).
-        backend: array backend for the stacked tensor ops (name, instance,
-            or ``None`` = resolve via :func:`repro.core.backend.resolve_backend`).
-            The numpy backend reproduces the serial trainer byte for byte;
-            see ``docs/backends.md`` for other backends' guarantees.
 
     Use :func:`supports_stacking` first; construction raises ``ValueError``
     for unstackable populations.
@@ -156,7 +172,6 @@ class StackedTrainer:
         learning_rate: float,
         config: Optional[TrainerConfig] = None,
         seeds: Optional[Sequence[Optional[int]]] = None,
-        backend: Optional[Union[str, ArrayBackend]] = None,
     ) -> None:
         if not supports_stacking(models):
             raise ValueError(
@@ -173,7 +188,6 @@ class StackedTrainer:
         if len(seeds) != len(self.models):
             raise ValueError(f"Got {len(seeds)} seeds for {len(self.models)} models")
         self.seeds = list(seeds)
-        self.ops = resolve_backend(backend)
         self._plan = self._build_plan(self.models[0])
         self._segments = self._build_segments(self.models[0])
         self._flat_size = self._segments[-1]["slice"].stop if self._segments else 0
@@ -293,15 +307,13 @@ class StackedTrainer:
         np.abs(masked, out=abs_buf)
         # One contiguous-span reduce for every (genome, segment) max — max is
         # exact, so how it is reduced cannot change the derived scale.
-        seg_max = self.ops.segment_max(abs_buf, pack["seg_starts"])
+        seg_max = np.maximum.reduceat(abs_buf, pack["seg_starts"], axis=1)
         # derive_scale vectorized: same IEEE divide, same degenerate-tensor
         # fallbacks (all-zero -> 1.0, underflow-to-zero -> 1.0).
         seg_scale = np.where(seg_max > 0, seg_max / pack["max_levels"], 1.0)
         seg_scale = np.where(seg_scale == 0.0, 1.0, seg_scale)
-        self.ops.take(seg_scale, pack["seg_map"], out=scale)
-        self.ops.quantize(
-            masked, scale, pack["neg_level"], pack["pos_level"], out=effective
-        )
+        np.take(seg_scale, pack["seg_map"], axis=1, out=scale)
+        _quantize(masked, scale, pack["neg_level"], pack["pos_level"], out=effective)
         for segment in self._segments:
             if not segment["quantized"]:
                 sl = segment["slice"]
@@ -360,7 +372,7 @@ class StackedTrainer:
         params = self._gather_stack()
         pack = self._build_pack()
         grad_flat = np.empty_like(params)
-        optimizer = StackedAdam([self.learning_rate] * n_models, backend=self.ops)
+        optimizer = StackedAdam([self.learning_rate] * n_models)
         rngs = [np.random.default_rng(seed) for seed in self.seeds]
 
         # Per-genome bookkeeping, indexed by ORIGINAL genome position.
@@ -384,11 +396,11 @@ class StackedTrainer:
             )
             # Post-epoch evaluation on the freshly re-quantized parameters.
             train_scores = self._forward(x_train, views)
-            train_accuracies = (self.ops.argmax(train_scores) == y_train).mean(axis=-1)
+            train_accuracies = (np.argmax(train_scores, axis=-1) == y_train).mean(axis=-1)
             if has_val:
                 val_scores = self._forward(x_val, views)
                 val_losses = sparse_softmax_cross_entropy(val_scores, y_val).mean(axis=-1)
-                val_accuracies = (self.ops.argmax(val_scores) == y_val).mean(axis=-1)
+                val_accuracies = (np.argmax(val_scores, axis=-1) == y_val).mean(axis=-1)
 
             stopped_rows: List[int] = []
             for row, genome in enumerate(active):
@@ -481,7 +493,7 @@ class StackedTrainer:
                 layer_inputs.append(out)
                 if is_dense:
                     view = views[dense_index]
-                    out = self.ops.matmul(out, view["weights"])
+                    out = np.matmul(out, view["weights"])
                     if view["bias"] is not None:
                         out += view["bias"][:, None, :]
                 else:
@@ -499,7 +511,7 @@ class StackedTrainer:
                 layer_input = layer_inputs[plan_index]
                 if is_dense:
                     view = views[dense_index]
-                    grad_weights = self.ops.matmul(layer_input.transpose(0, 2, 1), grad)
+                    grad_weights = np.matmul(layer_input.transpose(0, 2, 1), grad)
                     weight_segment, bias_segment = self._dense_segments[dense_index]
                     grad_weights *= pack["mask"][:, weight_segment["slice"]].reshape(
                         grad_weights.shape
@@ -519,7 +531,7 @@ class StackedTrainer:
                             .reshape(n_rows, width)
                         )
                     if plan_index != 0:
-                        grad = self.ops.matmul(grad, view["weights"].transpose(0, 2, 1))
+                        grad = np.matmul(grad, view["weights"].transpose(0, 2, 1))
                 else:
                     grad = activation.backward(layer_input, grad)
 
@@ -550,7 +562,7 @@ class StackedTrainer:
         for is_dense, dense_index, activation in self._plan:
             if is_dense:
                 view = views[dense_index]
-                out = self.ops.matmul(out, view["weights"])
+                out = np.matmul(out, view["weights"])
                 if view["bias"] is not None:
                     out += view["bias"][:, None, :]
             else:
@@ -608,14 +620,12 @@ def finetune_stacked(
     learning_rate: float = 0.003,
     batch_size: int = 32,
     seeds: Optional[Sequence[Optional[int]]] = None,
-    backend: Optional[Union[str, ArrayBackend]] = None,
 ) -> List[TrainingHistory]:
     """Population counterpart of :func:`repro.nn.trainer.finetune`.
 
     Same hyper-parameter derivation (aggressive early stopping, small LR),
     one stacked trainer instead of G serial ones. Genome ``g`` ends with
-    byte-identical weights to ``finetune(models[g], ..., seed=seeds[g])``
-    on the (default) numpy backend.
+    byte-identical weights to ``finetune(models[g], ..., seed=seeds[g])``.
     """
     config = TrainerConfig(
         epochs=epochs,
@@ -623,9 +633,7 @@ def finetune_stacked(
         early_stopping_patience=max(3, epochs // 3),
         verbose=False,
     )
-    trainer = StackedTrainer(
-        models, learning_rate, config=config, seeds=seeds, backend=backend
-    )
+    trainer = StackedTrainer(models, learning_rate, config=config, seeds=seeds)
     return trainer.fit(x_train, y_train, x_val, y_val)
 
 
@@ -645,9 +653,7 @@ def finetune_population(
     One :func:`finetune_stacked` call when :func:`supports_stacking` allows
     it, otherwise a loop of serial :func:`~repro.nn.trainer.finetune` calls
     (e.g. models with ``Dropout``). Either way model ``g`` ends with the
-    weights ``finetune(models[g], ..., seed=seeds[g])`` gives it. The stack
-    always runs on the numpy backend, whatever ``REPRO_BACKEND`` says: it
-    stands in for the serial trainer, which has no backend.
+    weights ``finetune(models[g], ..., seed=seeds[g])`` gives it.
     """
     models = list(models)
     if seeds is None:
@@ -663,7 +669,6 @@ def finetune_population(
             learning_rate=learning_rate,
             batch_size=batch_size,
             seeds=seeds,
-            backend="numpy",
         )
     return [
         finetune(
@@ -684,19 +689,16 @@ def finetune_population(
 def predict_stacked(
     models: Sequence[MLP],
     features: np.ndarray,
-    backend: Optional[Union[str, ArrayBackend]] = None,
 ) -> np.ndarray:
     """Batched class predictions for a population of same-topology models.
 
     Stacks each model's *effective* (masked + quantized) parameters — built
     per model with the exact serial ``effective_weights()`` path — and runs
     one batched forward pass; returns ``(G, n_samples)`` predicted classes,
-    byte-identical to calling ``model.predict`` per model on the (default)
-    numpy backend.
+    byte-identical to calling ``model.predict`` per model.
     """
     if not models:
         raise ValueError("Cannot predict with an empty population")
-    ops = resolve_backend(backend)
     features = np.asarray(features, dtype=np.float64)
     out = features
     n_layers = len(models[0].layers)
@@ -706,7 +708,7 @@ def predict_stacked(
             weights = np.stack(
                 [model.layers[index].effective_weights() for model in models]
             )
-            out = ops.matmul(out, weights)
+            out = np.matmul(out, weights)
             if layer.use_bias:
                 bias = np.stack(
                     [model.layers[index].effective_bias() for model in models]
@@ -716,4 +718,4 @@ def predict_stacked(
             out = layer.activation.forward(out)
         else:
             raise ValueError(f"Unsupported layer for stacked inference: {layer!r}")
-    return ops.argmax(out)
+    return np.argmax(out, axis=-1)

@@ -61,7 +61,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..bespoke.simulator import FixedPointSimulator, validate_population
-from ..core.backend import ArrayBackend, get_backend, resolve_backend
 from .fault_injection import FaultInjectionConfig, FaultInjectionResult
 
 #: Seeds are reduced modulo 2**32 so they read like ``numpy`` seeds everywhere.
@@ -111,24 +110,24 @@ def _draw_matrix(
     config: FaultInjectionConfig,
     trials: Sequence[int],
     n_draws: int,
-    ops: Optional[ArrayBackend] = None,
 ) -> np.ndarray:
     """The ``(len(trials), n_draws)`` uint64 draw matrix of the given trials.
 
     Row ``i`` depends only on ``fault_trial_seed(config.seed, trials[i])``,
     so any batching of trials — all at once in the vectorized kernel, one
-    at a time in the reference loop — reads identical randomness. Draw
-    interpretation goes through :meth:`ArrayBackend.draws_from_bytes`,
-    whose shared numpy implementation every backend inherits: fault
-    patterns are part of the determinism contract and may not vary by
-    backend.
+    at a time in the reference loop — reads identical randomness. Each
+    draw is 8 bytes read as a big-endian uint64, so fault patterns depend
+    only on the byte stream.
     """
     raw = b"".join(
         _trial_draws(fault_trial_seed(config.seed, trial), n_draws)
         for trial in trials
     )
-    ops = ops if ops is not None else get_backend("numpy")
-    return ops.draws_from_bytes(raw, len(trials), n_draws)
+    return (
+        np.frombuffer(raw, dtype=">u8")
+        .astype(np.uint64, copy=False)
+        .reshape(len(trials), n_draws)
+    )
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,6 @@ def _sample_patterns(
     sites: Sequence[_FaultSite],
     flats: Sequence[np.ndarray],
     config: FaultInjectionConfig,
-    ops: Optional[ArrayBackend] = None,
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Fault patterns of a batch of trials: per site ``(indices, values)``.
 
@@ -202,14 +200,12 @@ def _sample_patterns(
     loop with one row at a time), so their randomness can never diverge.
     Site selection is a uniform ``n_hit``-subset per trial: every eligible
     site gets a 64-bit key from the trial's stream and the ``n_hit``
-    smallest keys are hit (:meth:`ArrayBackend.smallest_k` works per row,
-    so batched and single-row sampling agree; keys are 64-bit draws, so
-    equal-key ties — where backends may differ — are vanishingly rare, and
-    the picked indices are sorted before use either way). Returned
+    smallest keys are hit (``np.argpartition`` works per row, so batched
+    and single-row sampling agree; the picked indices are sorted before
+    use). Returned
     ``indices``/``values`` are ``(n_trials, n_hit)`` arrays aligned with
     ``sites``; ``flats`` are the unperturbed flattened coefficient tensors.
     """
-    ops = ops if ops is not None else get_backend("numpy")
     n_trials = draws.shape[0]
     cursor = 0
     pattern: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -226,7 +222,7 @@ def _sample_patterns(
         if site.n_hit >= site.eligible.size:
             indices = np.broadcast_to(site.eligible, (n_trials, site.eligible.size))
         else:
-            picks = ops.smallest_k(keys, site.n_hit)
+            picks = np.argpartition(keys, site.n_hit - 1, axis=-1)[:, : site.n_hit]
             indices = site.eligible[np.sort(picks, axis=-1)]
         if config.fault_model == "open":
             values = np.zeros((n_trials, site.n_hit), dtype=np.int64)
@@ -438,18 +434,16 @@ def _perturbed_stacks(
     sites: Sequence[_FaultSite],
     flats: Sequence[np.ndarray],
     dtype: np.dtype,
-    ops: Optional[ArrayBackend] = None,
 ) -> Tuple[List[np.ndarray], List[np.ndarray], List[int]]:
     """All T trials' perturbed coefficients as per-layer ``(T, ...)`` stacks.
 
     Built directly in the forward dtype (float64 on the exact BLAS path) so
     the kernel never materializes a second full-size integer copy — the
     scattered fault values are integers either way, so the cast is exact —
-    and scattered with one :meth:`ArrayBackend.put_along_axis` per site
-    instead of a per-trial Python loop (indices are unique per row, so the
-    scatter is order-independent on every backend).
+    and scattered with one ``np.put_along_axis`` per site instead of a
+    per-trial Python loop (indices are unique per row, so the scatter is
+    order-independent).
     """
-    ops = ops if ops is not None else get_backend("numpy")
     n_trials = config.n_trials
     weight_stacks = [
         np.broadcast_to(layer.weights, (n_trials,) + layer.weights.shape).astype(dtype)
@@ -459,21 +453,21 @@ def _perturbed_stacks(
         np.broadcast_to(layer.bias, (n_trials,) + layer.bias.shape).astype(dtype)
         for layer in simulator.layers
     ]
-    draws = _draw_matrix(config, range(n_trials), _draws_per_trial(sites), ops)
-    pattern = _sample_patterns(draws, sites, flats, config, ops)
+    draws = _draw_matrix(config, range(n_trials), _draws_per_trial(sites))
+    pattern = _sample_patterns(draws, sites, flats, config)
     n_faults = sum(site.n_hit for site in sites)
     site_index = 0
     for layer_index in range(len(simulator.layers)):
         indices, values = pattern[site_index]
         if indices.size:
-            ops.put_along_axis(
-                weight_stacks[layer_index].reshape(n_trials, -1), indices, values
+            np.put_along_axis(
+                weight_stacks[layer_index].reshape(n_trials, -1), indices, values, axis=-1
             )
         site_index += 1
         if config.include_bias:
             indices, values = pattern[site_index]
             if indices.size:
-                ops.put_along_axis(bias_stacks[layer_index], indices, values)
+                np.put_along_axis(bias_stacks[layer_index], indices, values, axis=-1)
             site_index += 1
     return weight_stacks, bias_stacks, [n_faults] * n_trials
 
@@ -484,7 +478,6 @@ def _stacked_accuracies(
     relu_flags: Sequence[bool],
     activations: np.ndarray,
     labels: np.ndarray,
-    ops: Optional[ArrayBackend] = None,
 ) -> np.ndarray:
     """Accuracy of every stacked circuit in one batched forward pass.
 
@@ -504,7 +497,6 @@ def _stacked_accuracies(
     instead: it handles circuits whose accumulators may approach the int64
     range, where folding could overflow.
     """
-    ops = ops if ops is not None else get_backend("numpy")
     last = len(weight_stacks) - 1
     dtype = weight_stacks[0].dtype
     fuse_fold = not relu_flags[last] and dtype != np.int64
@@ -521,14 +513,14 @@ def _stacked_accuracies(
             multiplier = _fold_multiplier(n_classes)
             weights = weights * multiplier
             bias = bias * multiplier + np.arange(n_classes - 1, -1, -1, dtype=dtype)
-        out = ops.matmul(out, weights)
+        out = np.matmul(out, weights)
         out += bias[:, None, :]
         if relu:
             np.maximum(out, 0, out=out)
     if fuse_fold:
         return _folded_accuracies(out, labels)
     if dtype == np.int64:
-        predictions = ops.argmax(out)
+        predictions = np.argmax(out, axis=-1)
         return (predictions == labels).mean(axis=-1)
     return _batch_accuracies(out, labels)
 
@@ -538,22 +530,17 @@ def monte_carlo_fault_injection(
     features: np.ndarray,
     labels: np.ndarray,
     config: Optional[FaultInjectionConfig] = None,
-    backend=None,
 ) -> FaultInjectionResult:
     """Vectorized Monte-Carlo campaign: all ``n_trials`` in one batched pass.
 
-    On the (default) numpy backend this is bit-identical to
+    Bit-identical to
     :func:`monte_carlo_fault_injection_reference` (the test suite asserts
     exact equality): the fault patterns come from the same per-trial
     SHA-256/SHAKE-256 streams, and the batched forward pass is exact
     integer arithmetic (float64 BLAS under the bound checked by
-    :func:`float_path_is_exact`, int64 otherwise). ``backend`` selects the
-    array backend for the heavy stages (``None`` = resolve via
-    :func:`repro.core.backend.resolve_backend`); integer arithmetic is
-    exact on every backend, see ``docs/backends.md``.
+    :func:`float_path_is_exact`, int64 otherwise).
     """
     config = config if config is not None else FaultInjectionConfig()
-    ops = resolve_backend(backend)
     labels = np.asarray(labels).reshape(-1).astype(int)
     activations = simulator.quantize_inputs(features)
     sites = _fault_sites(simulator, config)
@@ -565,10 +552,10 @@ def monte_carlo_fault_injection(
         np.mean(np.argmax(simulator.simulate_batch(features), axis=1) == labels)
     )
     weight_stacks, bias_stacks, fault_counts = _perturbed_stacks(
-        simulator, config, sites, flats, dtype, ops
+        simulator, config, sites, flats, dtype
     )
     accuracies = _stacked_accuracies(
-        weight_stacks, bias_stacks, relu_flags, activations, labels, ops
+        weight_stacks, bias_stacks, relu_flags, activations, labels
     )
     return _result(config, fault_free, accuracies, fault_counts)
 
@@ -578,7 +565,6 @@ def monte_carlo_population(
     features: np.ndarray,
     labels: np.ndarray,
     configs: Sequence[FaultInjectionConfig],
-    backend=None,
 ) -> List[FaultInjectionResult]:
     """G simulators x T trials in one batched pass (the search engine's path).
 
@@ -590,11 +576,8 @@ def monte_carlo_population(
     byte-identical. All simulators must share input bit-width, layer shapes
     and ReLU flags (guaranteed for the same-topology populations the
     stacked evaluator builds); trial counts must match across configs.
-    ``backend`` selects the array backend for the heavy stages (``None`` =
-    resolve via :func:`repro.core.backend.resolve_backend`).
     """
     validate_population(simulators)
-    ops = resolve_backend(backend)
     if len(configs) != len(simulators):
         raise ValueError(
             f"Got {len(configs)} fault configs for {len(simulators)} simulators"
@@ -619,7 +602,7 @@ def monte_carlo_population(
         for i in range(len(first.layers))
     ]
     fault_free = _stacked_accuracies(
-        base_weights, base_bias, relu_flags, activations, labels, ops
+        base_weights, base_bias, relu_flags, activations, labels
     )
 
     # One (G * T)-deep stack; genome g owns slices [g * T, (g + 1) * T).
@@ -630,7 +613,7 @@ def monte_carlo_population(
         sites = _fault_sites(simulator, config)
         flats = _layer_flats(simulator, config)
         weight_stacks, bias_stacks, fault_counts = _perturbed_stacks(
-            simulator, config, sites, flats, dtype, ops
+            simulator, config, sites, flats, dtype
         )
         all_weights.append(weight_stacks)
         all_bias.append(bias_stacks)
@@ -644,7 +627,7 @@ def monte_carlo_population(
         for i in range(len(first.layers))
     ]
     accuracies = _stacked_accuracies(
-        merged_weights, merged_bias, relu_flags, activations, labels, ops
+        merged_weights, merged_bias, relu_flags, activations, labels
     )
 
     results: List[FaultInjectionResult] = []

@@ -32,11 +32,7 @@ from .objectives import (
     objectives_of,
 )
 from .parallel import ParallelEvaluator, create_evaluator, resolve_workers
-from .settings import (
-    EvaluationSettings,
-    evaluation_settings_for,
-    resolve_evaluation_settings,
-)
+from .settings import EvaluationSettings, resolve_evaluation_settings
 
 #: Backwards-compatible name for the serial engine (pre-engine API).
 #: Note one semantic change versus the legacy class: evaluations now use
@@ -66,7 +62,6 @@ __all__ = [
     "dominates",
     "evaluate_genome",
     "evaluate_genomes_stacked",
-    "evaluation_settings_for",
     "fast_non_dominated_sort",
     "fast_non_dominated_sort_reference",
     "front_of",

@@ -10,14 +10,12 @@ front starts from — and can only improve on — the standalone fronts.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..core import profiling
-from ..core.backend import validate_backend_name
 from ..core.pareto import dominates, pareto_front
 from ..core.pipeline import PreparedPipeline
 from ..core.results import DesignPoint
@@ -37,22 +35,6 @@ from .settings import EvaluationSettings, resolve_evaluation_settings
 # Imported as a module path (not via the repro.surrogate package) at call
 # sites below; only the registry of valid names is needed eagerly.
 from ..surrogate.models import SURROGATE_MODELS
-
-
-def __getattr__(name: str):
-    """Deprecation shim: ``evaluation_settings_for`` moved to ``repro.search.settings``."""
-    if name == "evaluation_settings_for":
-        from .settings import evaluation_settings_for
-
-        warnings.warn(
-            "Importing evaluation_settings_for from repro.search.ga is "
-            "deprecated; import it from repro.search (or use "
-            "repro.search.settings.resolve_evaluation_settings) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return evaluation_settings_for
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -85,11 +67,6 @@ class GAConfig:
             and Pareto archive all optimize fault tolerance as a third
             objective. Disabled searches are byte-identical to
             pre-robustness builds.
-        backend: array backend for the stacked evaluation and NSGA-II
-            kernels (``None`` inherits the prepared pipeline's
-            configuration, then ``REPRO_BACKEND``, then numpy — the same
-            inheritance pattern as the fault knobs). The numpy backend is
-            byte-identical to earlier versions; see ``docs/backends.md``.
         surrogate: surrogate model name enabling surrogate-assisted search
             (``"ridge"`` or ``"mlp"``; ``None`` inherits the pipeline
             configuration, off by default). When enabled, each generation
@@ -124,7 +101,6 @@ class GAConfig:
     fault_rate: Optional[float] = None
     n_fault_trials: Optional[int] = None
     fault_model: Optional[str] = None
-    backend: Optional[str] = None
     surrogate: Optional[str] = None
     surrogate_candidates: Optional[int] = None
     surrogate_prefilter: Optional[float] = None
@@ -154,7 +130,6 @@ class GAConfig:
             raise ValueError(
                 f"fault_model must be one of {FAULT_MODELS}, got '{self.fault_model}'"
             )
-        validate_backend_name(self.backend, "GAConfig.backend")
         if self.surrogate is not None and self.surrogate not in SURROGATE_MODELS:
             raise ValueError(
                 f"surrogate must be one of {SURROGATE_MODELS}, got '{self.surrogate}'"
@@ -280,7 +255,7 @@ class HardwareAwareGA:
         self._rng = np.random.default_rng(self.config.seed)
 
         # Surrogate knobs inherit GA config → pipeline config → default,
-        # exactly like the fault/backend knobs above. The assistant and the
+        # exactly like the fault knobs above. The assistant and the
         # halving evaluators only exist when the feature is on, so disabled
         # searches execute the literal pre-surrogate code path.
         def _surrogate_knob(name, default):
@@ -304,7 +279,6 @@ class HardwareAwareGA:
                 robust=self.robust,
                 model=self.surrogate_model,
                 seed=self.config.seed,
-                backend=self.settings.backend,
             )
         else:
             self.assistant = None
@@ -325,7 +299,7 @@ class HardwareAwareGA:
         # evolutionary trajectory is unchanged. ``count`` (surrogate mode)
         # breeds an oversized candidate pool with the same operators.
         count = self.config.population_size if count is None else count
-        keys = nsga2_rank(objectives, backend=self.settings.backend)
+        keys = nsga2_rank(objectives)
         offspring: List[Genome] = []
         while len(offspring) < count:
             parent_a = population[tournament_select(objectives, self._rng, keys=keys)]
@@ -377,7 +351,7 @@ class HardwareAwareGA:
                 objectives = [
                     objectives_of(p, baseline, robust=self.robust) for p in points
                 ]
-                keys = nsga2_rank(objectives, backend=self.settings.backend)
+                keys = nsga2_rank(objectives)
                 order = sorted(range(len(survivors)), key=lambda i: (keys[i], i))
                 keep = max(target, math.ceil(len(survivors) / 2))
                 survivors = [survivors[i] for i in order[:keep]]
@@ -482,9 +456,7 @@ class HardwareAwareGA:
             ]
             with profiling.stage("ga_sort"):
                 survivors = select_survivors(
-                    combined_objectives,
-                    self.config.population_size,
-                    backend=self.settings.backend,
+                    combined_objectives, self.config.population_size
                 )
             population = [combined_population[i] for i in survivors]
             points = [combined_points[i] for i in survivors]

@@ -18,14 +18,9 @@ tests in ``tests/test_search_nsga2_vectorized.py`` assert against the
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
-
-from ..core.backend import ArrayBackend, resolve_backend
-
-#: Either a backend name, a backend instance, or None (resolve via env/default).
-BackendLike = Optional[Union[str, ArrayBackend]]
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -47,9 +42,14 @@ def _objective_matrix(objectives: Sequence[Sequence[float]]) -> np.ndarray:
     return matrix
 
 
-def fast_non_dominated_sort(
-    objectives: Sequence[Sequence[float]], backend: BackendLike = None
-) -> List[List[int]]:
+def _domination_matrix(matrix: np.ndarray) -> np.ndarray:
+    """``[i, j]`` is True when solution ``i`` Pareto-dominates solution ``j``."""
+    left = matrix[:, None, :]
+    right = matrix[None, :, :]
+    return np.logical_and(np.all(left <= right, axis=-1), np.any(left < right, axis=-1))
+
+
+def fast_non_dominated_sort(objectives: Sequence[Sequence[float]]) -> List[List[int]]:
     """Sort indices into Pareto fronts (front 0 is non-dominated).
 
     Vectorized form of the O(MN²) algorithm of Deb et al. (2002): the full
@@ -58,8 +58,7 @@ def fast_non_dominated_sort(
     fronts are peeled with numpy-indexed count updates that visit solutions
     in exactly the order of the reference double loop, so the returned
     fronts — including the order of indices *within* each front — are
-    identical to :func:`fast_non_dominated_sort_reference`. Domination is a
-    set of exact comparisons, so every backend returns the same fronts.
+    identical to :func:`fast_non_dominated_sort_reference`.
     """
     n = len(objectives)
     if n == 0:
@@ -67,9 +66,7 @@ def fast_non_dominated_sort(
     matrix = _objective_matrix(objectives)
     if matrix.shape[0] != n:
         raise ValueError("objectives rows must align with the solution count")
-    ops = resolve_backend(backend)
-    # domination[i, j] == True when solution i dominates solution j.
-    domination = ops.domination_matrix(matrix)
+    domination = _domination_matrix(matrix)
     domination_count = domination.sum(axis=0).astype(np.int64)
 
     fronts: List[List[int]] = []
@@ -126,9 +123,7 @@ def fast_non_dominated_sort_reference(
     return fronts
 
 
-def crowding_distance(
-    objectives: Sequence[Sequence[float]], backend: BackendLike = None
-) -> np.ndarray:
+def crowding_distance(objectives: Sequence[Sequence[float]]) -> np.ndarray:
     """Crowding distance of each solution within one front.
 
     Boundary solutions get infinite distance so they are always preferred,
@@ -136,17 +131,15 @@ def crowding_distance(
     stable argsort plus a fancy-indexed scatter of the interior gaps,
     accumulating objectives in the same order as the reference loop so the
     distances are bit-identical (ties included — the stable argsort sees the
-    rows in the same order either way, and every backend's
-    ``argsort_stable`` preserves tie order by definition).
+    rows in the same order either way).
     """
     n = len(objectives)
     if n == 0:
         return np.array([])
     matrix = _objective_matrix(objectives)
-    ops = resolve_backend(backend)
     distances = np.zeros(n, dtype=np.float64)
     for m in range(matrix.shape[1]):
-        order = ops.argsort_stable(matrix[:, m])
+        order = np.argsort(matrix[:, m], kind="stable")
         distances[order[0]] = np.inf
         distances[order[-1]] = np.inf
         column = matrix[order, m]
@@ -179,19 +172,16 @@ def crowding_distance_reference(objectives: Sequence[Sequence[float]]) -> np.nda
     return distances
 
 
-def nsga2_rank(
-    objectives: Sequence[Sequence[float]], backend: BackendLike = None
-) -> List[tuple]:
+def nsga2_rank(objectives: Sequence[Sequence[float]]) -> List[tuple]:
     """Return ``(front_index, -crowding_distance)`` sort keys per solution.
 
     Lower keys are better: earlier front first, then larger crowding distance.
     """
-    ops = resolve_backend(backend)
-    fronts = fast_non_dominated_sort(objectives, backend=ops)
+    fronts = fast_non_dominated_sort(objectives)
     keys: List[tuple] = [(0, 0.0)] * len(objectives)
     for front_index, front in enumerate(fronts):
         front_objectives = [objectives[i] for i in front]
-        distances = crowding_distance(front_objectives, backend=ops)
+        distances = crowding_distance(front_objectives)
         for position, solution_index in enumerate(front):
             keys[solution_index] = (front_index, -float(distances[position]))
     return keys
@@ -200,12 +190,11 @@ def nsga2_rank(
 def select_survivors(
     objectives: Sequence[Sequence[float]],
     n_survivors: int,
-    backend: BackendLike = None,
 ) -> List[int]:
     """Environmental selection: keep the best ``n_survivors`` by NSGA-II ranking."""
     if n_survivors < 0:
         raise ValueError(f"n_survivors must be >= 0, got {n_survivors}")
-    keys = nsga2_rank(objectives, backend=backend)
+    keys = nsga2_rank(objectives)
     order = sorted(range(len(objectives)), key=lambda i: keys[i])
     return order[:n_survivors]
 
@@ -215,7 +204,6 @@ def tournament_select(
     rng: np.random.Generator,
     tournament_size: int = 2,
     keys: Optional[Sequence[tuple]] = None,
-    backend: BackendLike = None,
 ) -> int:
     """Binary (or k-ary) tournament selection by NSGA-II ranking.
 
@@ -229,15 +217,13 @@ def tournament_select(
             many tournaments against one fixed population (the GA's offspring
             loop) should rank once and pass the keys in, instead of paying
             the full non-dominated sort per selection.
-        backend: array backend for the ranking (ignored when ``keys`` is
-            supplied — the caller already ranked).
     """
     if not objectives:
         raise ValueError("Cannot select from an empty population")
     if tournament_size < 1:
         raise ValueError(f"tournament_size must be >= 1, got {tournament_size}")
     if keys is None:
-        keys = nsga2_rank(objectives, backend=backend)
+        keys = nsga2_rank(objectives)
     elif len(keys) != len(objectives):
         raise ValueError(
             f"Got {len(keys)} precomputed keys for {len(objectives)} objectives"

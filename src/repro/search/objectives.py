@@ -16,7 +16,6 @@ scale.
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,20 +42,6 @@ from ..reliability.monte_carlo import (
 )
 from .genome import Genome
 from .settings import EvaluationSettings as _EvaluationSettings
-
-
-def __getattr__(name: str):
-    """Deprecation shim: ``EvaluationSettings`` moved to ``repro.search.settings``."""
-    if name == "EvaluationSettings":
-        warnings.warn(
-            "Importing EvaluationSettings from repro.search.objectives is "
-            "deprecated; import it from repro.search (or "
-            "repro.search.settings) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _EvaluationSettings
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _pruned_clone(genome: Genome, prepared: PreparedPipeline):
@@ -239,7 +224,6 @@ def _score_model(
                 data.test.features,
                 data.test.labels,
                 settings.fault_config(seed),
-                backend=settings.backend,
             )
         robust_accuracy = fault_result.mean_accuracy
         accuracy_std = fault_result.accuracy_std
@@ -368,7 +352,6 @@ def evaluate_genomes_stacked(
                 epochs=settings.finetune_epochs,
                 learning_rate=settings.finetune_learning_rate,
                 seeds=seeds,
-                backend=settings.backend,
             )
         clustered = [index for index, result in enumerate(clusterings) if result is not None]
         reproject_population_clusters(
@@ -387,13 +370,9 @@ def evaluate_genomes_stacked(
             ]
         with profiling.stage("accuracy"):
             if settings.simulate_accuracy:
-                accuracies = population_accuracy(
-                    simulators, test.features, labels, backend=settings.backend
-                )
+                accuracies = population_accuracy(simulators, test.features, labels)
             else:
-                predictions = predict_stacked(
-                    models, test.features, backend=settings.backend
-                )
+                predictions = predict_stacked(models, test.features)
                 accuracies = (predictions == labels).mean(axis=-1)
         robust_accuracies: List[Optional[float]] = [None] * len(genomes)
         accuracy_stds: List[Optional[float]] = [None] * len(genomes)
@@ -404,7 +383,6 @@ def evaluate_genomes_stacked(
                     test.features,
                     labels,
                     [settings.fault_config(seed) for seed in seeds],
-                    backend=settings.backend,
                 )
             robust_accuracies = [result.mean_accuracy for result in fault_results]
             accuracy_stds = [result.accuracy_std for result in fault_results]

@@ -5,8 +5,7 @@ Evaluation knobs historically arrived through three doors — direct
 :class:`~repro.search.ga.GAConfig` fields, and campaign-spec entries — each
 with its own resolution code. This module is now the one place those paths
 meet: :func:`resolve_evaluation_settings` implements the inheritance rules
-(GA knob → pipeline knob → default, with the array backend additionally
-falling back to the ``REPRO_BACKEND`` environment variable), and every
+(GA knob → pipeline knob → default), and every
 caller — :class:`~repro.search.ga.HardwareAwareGA`, the campaign runner,
 the CLI — goes through it, so the knobs can never resolve differently
 between subsystems.
@@ -17,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.backend import default_backend_name, validate_backend_name
 from ..reliability.fault_injection import FAULT_MODELS, FaultInjectionConfig
 
 
@@ -46,12 +44,6 @@ class EvaluationSettings:
         n_fault_trials: Monte-Carlo trials per design point (0 = off).
         fault_model: defect mechanism injected (one of
             :data:`repro.reliability.FAULT_MODELS`).
-        backend: array backend for the stacked/batched evaluation paths
-            (``None`` = resolve via ``REPRO_BACKEND`` then numpy at kernel
-            entry; :func:`resolve_evaluation_settings` materializes the
-            concrete name so cache context keys capture it). The numpy
-            backend carries every bit-identity guarantee; see
-            ``docs/backends.md``.
     """
 
     finetune_epochs: int = 8
@@ -61,7 +53,6 @@ class EvaluationSettings:
     fault_rate: float = 0.0
     n_fault_trials: int = 0
     fault_model: str = "open"
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fault_rate <= 1.0:
@@ -72,7 +63,6 @@ class EvaluationSettings:
             raise ValueError(
                 f"fault_model must be one of {FAULT_MODELS}, got '{self.fault_model}'"
             )
-        validate_backend_name(self.backend, "EvaluationSettings.backend")
 
     @property
     def robustness_enabled(self) -> bool:
@@ -101,16 +91,10 @@ def resolve_evaluation_settings(
     """Resolve every evaluation knob through the one documented precedence.
 
     Each knob takes the first non-``None`` value of: the GA config field,
-    the pipeline config field, the :class:`EvaluationSettings` default. The
-    ``backend`` knob has one extra rung — when both configs leave it
-    ``None`` it materializes to :func:`~repro.core.backend.default_backend_name`
-    (the ``REPRO_BACKEND`` environment variable, then ``"numpy"``) so the
-    resolved settings name a concrete backend and the campaign cache's
-    evaluation-context key can never conflate runs under different
-    ``REPRO_BACKEND`` environments.
+    the pipeline config field, the :class:`EvaluationSettings` default.
 
     Either config may be ``None``: ``resolve_evaluation_settings()`` yields
-    the environment-resolved defaults, ``resolve_evaluation_settings(config)``
+    the defaults, ``resolve_evaluation_settings(config)``
     is the non-GA campaign path, and passing both is the GA path (the same
     inheritance the ``stacked``/``cache_size``/``n_workers`` knobs use).
     """
@@ -129,23 +113,10 @@ def resolve_evaluation_settings(
         fault_rate=_knob("fault_rate", 0.0),
         n_fault_trials=_knob("n_fault_trials", 0),
         fault_model=_knob("fault_model", "open"),
-        backend=_knob("backend", default_backend_name()),
     )
-
-
-def evaluation_settings_for(config, pipeline_config) -> EvaluationSettings:
-    """Default :class:`EvaluationSettings` of a GA run.
-
-    Compatibility spelling of
-    ``resolve_evaluation_settings(pipeline_config, ga_config=config)`` —
-    the historical entry point shared by :class:`~repro.search.ga.HardwareAwareGA`
-    and the campaign runner. New code should call the resolver directly.
-    """
-    return resolve_evaluation_settings(pipeline_config, ga_config=config)
 
 
 __all__ = [
     "EvaluationSettings",
-    "evaluation_settings_for",
     "resolve_evaluation_settings",
 ]

@@ -604,7 +604,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8000,
     max_entries: Optional[int] = None,
-    backend: Optional[str] = None,
     enqueue_misses: bool = False,
     refresh_seconds: Optional[float] = None,
     refresh_reports: bool = False,
@@ -619,7 +618,7 @@ def serve(
     serving half of the miss loop: a worker drains the enqueued job, the
     next refresh folds its front into the report, and the store serves it.
     """
-    store = FrontStore(campaigns, max_entries=max_entries, backend=backend)
+    store = FrontStore(campaigns, max_entries=max_entries)
     enqueuer = MissEnqueuer(campaigns[0]) if enqueue_misses else None
     server, _thread = start_server(store, host=host, port=port, enqueuer=enqueuer)
     print(f"serving {len(store.datasets())} dataset front(s) on {server.url}")

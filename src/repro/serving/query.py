@@ -22,10 +22,9 @@ on dataset X"*. A :class:`FrontQuery` is the typed form of that sentence —
 :class:`QueryEngine` executes queries against a
 :class:`~repro.serving.store.FrontStore` as a small plan: candidate
 columns are assembled (for a single campaign, zero-copy slices of the
-view's — possibly mmap-backed — arrays), constraint masks and the
-selection/ranking steps run through the
-:class:`~repro.core.backend.ArrayBackend` seam (``nonzero`` +
-``argsort_stable``), and only the rows of the final window are
+view's — possibly mmap-backed — arrays), constraint masks reduce to
+candidate row indices (``np.flatnonzero``) which a stable argsort ranks,
+and only the rows of the final window are
 materialized into :class:`~repro.core.results.DesignPoint` objects — no
 per-point Python for rows the response doesn't include, and queries
 never mutate the store.
@@ -39,7 +38,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from ..core.backend import ArrayBackend, resolve_backend
 from ..core.pareto import pareto_front
 from ..core.results import DesignPoint
 from .store import (
@@ -302,17 +300,10 @@ class QueryEngine:
 
     Args:
         store: the indexed front store.
-        backend: array backend for masking/ranking (defaults to the
-            store's resolved backend).
     """
 
-    def __init__(
-        self,
-        store: FrontStore,
-        backend: Optional[Union[str, ArrayBackend]] = None,
-    ) -> None:
+    def __init__(self, store: FrontStore) -> None:
         self.store = store
-        self.backend = store.backend if backend is None else resolve_backend(backend)
 
     # -- candidate assembly ------------------------------------------------------
 
@@ -390,17 +381,17 @@ class QueryEngine:
             # can never satisfy a constraint on it.
             with np.errstate(invalid="ignore"):
                 mask &= values >= bound if direction == "min" else values <= bound
-        selected = self.backend.nonzero(mask)
+        selected = np.flatnonzero(mask)
         matched = int(selected.size)
 
         distances: Optional[np.ndarray] = None
         if query.nearest is not None:
             distances = self._distances(columns, selected, query.nearest)
-            order = self.backend.argsort_stable(distances)
+            order = np.argsort(distances, kind="stable")
         else:
             keys = columns[query.order_by][selected]
             keys = np.nan_to_num(keys, nan=np.inf, posinf=np.inf, neginf=-np.inf)
-            order = self.backend.argsort_stable(-keys if query.descending else keys)
+            order = np.argsort(-keys if query.descending else keys, kind="stable")
         ranked = self._window(selected[order], query)
         result_distances: Optional[Tuple[float, ...]] = None
         if distances is not None:

@@ -59,7 +59,6 @@ from ..campaign.columnar import (
     load_front_npz,
 )
 from ..campaign.journal import REPORT_DIR
-from ..core.backend import ArrayBackend, resolve_backend
 from ..core.pareto import pareto_front, pareto_front_indices
 from ..core.results import DesignPoint
 
@@ -347,22 +346,18 @@ class FrontStore:
             merged with the ``report.py`` logic.
         max_entries: optional LRU bound on deserialized front views
             (mirrors ``EvaluationCache``; ``None`` = unbounded).
-        backend: array backend resolved once and handed to the query
-            engine (name, instance or ``None`` for the configured default).
     """
 
     def __init__(
         self,
         campaigns: Union[str, Path, Sequence[Union[str, Path]]],
         max_entries: Optional[int] = None,
-        backend: Optional[Union[str, ArrayBackend]] = None,
     ) -> None:
         if isinstance(campaigns, (str, Path)):
             campaigns = [campaigns]
         self.campaigns: Tuple[Path, ...] = tuple(Path(c) for c in campaigns)
         if not self.campaigns:
             raise ValueError("FrontStore needs at least one campaign directory")
-        self.backend = resolve_backend(backend)
         self._cache = FrontCache(max_entries)
         self._lock = threading.RLock()
         self._fault_rates: Dict[Path, Optional[float]] = {}

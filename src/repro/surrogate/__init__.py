@@ -4,8 +4,8 @@ Real stacked-QAT evaluations dominate the search's wall-clock; this package
 trades them for microsecond predictions. A
 :class:`~repro.surrogate.features.GenomeFeaturizer` encodes genomes as
 plain feature vectors, the :class:`~repro.surrogate.models.SurrogateModel`
-implementations (closed-form ridge by default, a stacked tiny-MLP ensemble
-through the backend seam) regress evaluation outcomes with per-objective
+implementations (closed-form ridge by default, a stacked tiny-MLP ensemble)
+regress evaluation outcomes with per-objective
 ensemble uncertainty, :func:`~repro.surrogate.training.fit_from_cache`
 trains directly from campaign journal shards, and
 :class:`~repro.surrogate.assist.SurrogateAssistant` wires online refits and

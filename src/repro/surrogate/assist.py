@@ -63,7 +63,6 @@ class SurrogateAssistant:
             requires observed points to carry ``robust_accuracy``.
         model: registered surrogate name (``"ridge"`` or ``"mlp"``).
         seed: search base seed; per-generation fit seeds derive from it.
-        backend: array backend for NSGA-II ranking and backend-seam models.
         optimism: uncertainty bonus in ensemble standard deviations.
         min_fit_samples: observations required before the first fit; until
             then :meth:`rank` returns candidate order unchanged.
@@ -76,7 +75,6 @@ class SurrogateAssistant:
         robust: bool = False,
         model: str = "ridge",
         seed: Optional[int] = 0,
-        backend=None,
         optimism: float = 1.0,
         min_fit_samples: int = 8,
         model_kwargs: Optional[dict] = None,
@@ -91,7 +89,6 @@ class SurrogateAssistant:
         self.robust = bool(robust)
         self.model_name = str(model)
         self.seed = seed
-        self.backend = backend
         self.optimism = float(optimism)
         self.min_fit_samples = int(min_fit_samples)
         self.model_kwargs = dict(model_kwargs or {})
@@ -102,7 +99,7 @@ class SurrogateAssistant:
         self._genomes: Dict[Tuple, Genome] = {}
         # Validate the model name eagerly so a typo fails at construction,
         # not at the first refit deep inside the generation loop.
-        create_surrogate(self.model_name, backend=self.backend, **self.model_kwargs)
+        create_surrogate(self.model_name, **self.model_kwargs)
 
     # -- online training ---------------------------------------------------------
 
@@ -150,9 +147,7 @@ class SurrogateAssistant:
             features = self.featurizer.transform([self._genomes[k] for k in keys])
             targets = np.asarray([self._observed[k] for k in keys])
             fit_seed = surrogate_seed(self.seed, generation)
-            model = create_surrogate(
-                self.model_name, backend=self.backend, **self.model_kwargs
-            )
+            model = create_surrogate(self.model_name, **self.model_kwargs)
             self.model = model.fit(
                 features, targets, seed=0 if fit_seed is None else fit_seed
             )
@@ -202,7 +197,7 @@ class SurrogateAssistant:
             return list(range(len(candidates)))
         with profiling.stage("surrogate_rank"):
             objectives = self.predicted_objectives(candidates)
-            keys = nsga2_rank([tuple(row) for row in objectives], backend=self.backend)
+            keys = nsga2_rank([tuple(row) for row in objectives])
             order = sorted(range(len(candidates)), key=lambda i: (keys[i], i))
         return order
 

@@ -8,9 +8,8 @@ seeded:
   normal-equation solves, prediction a matrix product.
 * :class:`MLPSurrogate` — a tiny one-hidden-layer MLP ensemble trained as
   one stacked ``(E, ...)`` tensor program through
-  :class:`~repro.nn.optimizers.StackedAdam` and the
-  :mod:`repro.core.backend` seam, mirroring how the evaluation engine
-  batches real QAT fine-tuning.
+  :class:`~repro.nn.optimizers.StackedAdam`, mirroring how the evaluation
+  engine batches real QAT fine-tuning.
 
 Both are bagged ensembles: every member fits a bootstrap resample, and the
 spread of member predictions is the per-objective uncertainty the
@@ -24,7 +23,6 @@ from typing import Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
-from ..core.backend import resolve_backend
 from ..nn.optimizers import StackedAdam
 
 
@@ -164,16 +162,14 @@ class MLPSurrogate:
     Every ensemble member is a one-hidden-layer tanh MLP; all members train
     simultaneously as one ``(E, ...)`` batched tensor program whose flat
     ``(E, P)`` parameter matrix steps through the same fused
-    :class:`~repro.nn.optimizers.StackedAdam` kernel (and
-    :mod:`repro.core.backend` seam) the stacked QAT trainer uses.
+    :class:`~repro.nn.optimizers.StackedAdam` kernel the stacked QAT
+    trainer uses.
 
     Args:
         hidden_units: hidden-layer width.
         n_members: ensemble size (>= 2 so uncertainty is defined).
         epochs: full-batch training epochs.
         learning_rate: Adam step size (shared by all members).
-        backend: array backend name/instance for the batched matmuls and
-            the fused Adam step (``None`` = resolve the default).
     """
 
     def __init__(
@@ -182,7 +178,6 @@ class MLPSurrogate:
         n_members: int = 4,
         epochs: int = 300,
         learning_rate: float = 0.02,
-        backend=None,
     ) -> None:
         if hidden_units < 1:
             raise ValueError(f"hidden_units must be >= 1, got {hidden_units}")
@@ -196,7 +191,6 @@ class MLPSurrogate:
         self.n_members = int(n_members)
         self.epochs = int(epochs)
         self.learning_rate = float(learning_rate)
-        self.ops = resolve_backend(backend)
         self._x_mean: Optional[np.ndarray] = None
         self._x_std: Optional[np.ndarray] = None
         self._y_mean: Optional[np.ndarray] = None
@@ -222,8 +216,8 @@ class MLPSurrogate:
     def _forward(self, params, X_stack: np.ndarray):
         """Batched forward pass: ``(E, N, F)`` inputs → ``(E, N, K)``."""
         W1, b1, W2, b2 = params
-        hidden = np.tanh(self.ops.matmul(X_stack, W1) + b1)
-        return self.ops.matmul(hidden, W2) + b2, hidden
+        hidden = np.tanh(np.matmul(X_stack, W1) + b1)
+        return np.matmul(hidden, W2) + b2, hidden
 
     def fit(self, features: np.ndarray, targets: np.ndarray, seed: int = 0) -> "MLPSurrogate":
         """Full-batch stacked training of the whole ensemble; returns ``self``."""
@@ -249,19 +243,16 @@ class MLPSurrogate:
         X_stack = Z[rows]  # (E, N, F)
         T_stack = T[rows]  # (E, N, K)
         flat = self._flatten(params)
-        optimizer = StackedAdam(
-            learning_rates=[self.learning_rate] * self.n_members,
-            backend=self.ops,
-        )
+        optimizer = StackedAdam(learning_rates=[self.learning_rate] * self.n_members)
         for _ in range(self.epochs):
             params = self._unflatten(flat, shapes)
             W1, b1, W2, b2 = params
             out, hidden = self._forward(params, X_stack)
             d_out = 2.0 * (out - T_stack) / n_samples  # (E, N, K)
-            g_W2 = self.ops.matmul(hidden.transpose(0, 2, 1), d_out)
+            g_W2 = np.matmul(hidden.transpose(0, 2, 1), d_out)
             g_b2 = d_out.sum(axis=1, keepdims=True)
-            d_hidden = self.ops.matmul(d_out, W2.transpose(0, 2, 1)) * (1.0 - hidden**2)
-            g_W1 = self.ops.matmul(X_stack.transpose(0, 2, 1), d_hidden)
+            d_hidden = np.matmul(d_out, W2.transpose(0, 2, 1)) * (1.0 - hidden**2)
+            g_W1 = np.matmul(X_stack.transpose(0, 2, 1), d_hidden)
             g_b1 = d_hidden.sum(axis=1, keepdims=True)
             optimizer.update(flat, self._flatten((g_W1, g_b1, g_W2, g_b2)))
         self._params = self._unflatten(flat, shapes)
@@ -289,14 +280,13 @@ class MLPSurrogate:
 SURROGATE_MODELS: Tuple[str, ...] = ("ridge", "mlp")
 
 
-def create_surrogate(name: str, backend=None, **kwargs) -> SurrogateModel:
+def create_surrogate(name: str, **kwargs) -> SurrogateModel:
     """Instantiate a registered surrogate model by name.
 
-    ``backend`` only reaches models that train through the backend seam
-    (the MLP); extra keyword arguments go to the model constructor.
+    Keyword arguments go to the model constructor.
     """
     if name == "ridge":
         return RidgeSurrogate(**kwargs)
     if name == "mlp":
-        return MLPSurrogate(backend=backend, **kwargs)
+        return MLPSurrogate(**kwargs)
     raise ValueError(f"unknown surrogate model '{name}'; choose from {SURROGATE_MODELS}")

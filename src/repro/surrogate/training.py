@@ -70,7 +70,6 @@ def fit_from_cache(
     context_key: Optional[str] = None,
     model: str = "ridge",
     seed: int = 0,
-    backend=None,
     **model_kwargs,
 ) -> TrainedSurrogate:
     """Fit a surrogate on every decodable journal record under ``cache_dir``.
@@ -81,7 +80,6 @@ def fit_from_cache(
             pools every context in the directory (all generations of each).
         model: registered surrogate name (``"ridge"`` or ``"mlp"``).
         seed: fit seed (bootstrap resampling, MLP initialization).
-        backend: array backend for backend-seam models.
         **model_kwargs: forwarded to the model constructor.
 
     Returns:
@@ -113,7 +111,7 @@ def fit_from_cache(
         [getattr(record.point, column) for column in columns] for record in usable
     ]
     X, Y, featurizer = training_matrices(genomes, targets)
-    fitted = create_surrogate(model, backend=backend, **model_kwargs).fit(X, Y, seed=seed)
+    fitted = create_surrogate(model, **model_kwargs).fit(X, Y, seed=seed)
     return TrainedSurrogate(
         model=fitted,
         featurizer=featurizer,

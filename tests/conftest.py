@@ -8,13 +8,10 @@ trained model.
 
 from __future__ import annotations
 
-import importlib.util
-
 import numpy as np
 import pytest
 
 from repro.core import MinimizationPipeline, PipelineConfig
-from repro.core.backend import get_backend
 from repro.datasets import load_dataset, prepare_split, train_val_test_split
 from repro.hardware import egt_library
 from repro.nn import build_mlp, train_classifier
@@ -24,29 +21,6 @@ from repro.nn import build_mlp, train_classifier
 def rng() -> np.random.Generator:
     """A deterministic generator for tests that need random data."""
     return np.random.default_rng(1234)
-
-
-@pytest.fixture(
-    params=[
-        pytest.param("numpy", id="numpy"),
-        pytest.param(
-            "torch",
-            id="torch",
-            marks=pytest.mark.skipif(
-                importlib.util.find_spec("torch") is None,
-                reason="torch not installed (optional 'torch' extra)",
-            ),
-        ),
-    ]
-)
-def backend(request):
-    """Every array backend usable in this environment, as a resolved instance.
-
-    Parity tests written against this fixture run on the numpy reference
-    always and on torch whenever the optional extra is installed (the CI
-    torch job); elsewhere the torch case skips cleanly.
-    """
-    return get_backend(request.param)
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from repro.campaign import (
     write_json_atomic,
 )
 from repro.core import DesignPoint, PipelineConfig
-from repro.search import EvaluationSettings, Genome
+from repro.search import EvaluationSettings, Genome, resolve_evaluation_settings
 
 
 def _genome(bits=4):
@@ -102,6 +102,13 @@ class TestEvaluationContextKey:
             0,
         )
         assert evaluation_context_key(*other) != base
+
+    def test_key_matches_builds_with_an_array_backend_knob(self):
+        # Digest of this context as hashed by builds that still had the
+        # array-backend knob: their shards and workers must keep matching.
+        config = PipelineConfig(dataset="seeds", train_epochs=3)
+        settings = resolve_evaluation_settings(config)
+        assert evaluation_context_key(config, settings, 0) == "a8c5a111110aba23"
 
     def test_none_settings_uses_defaults(self):
         config = PipelineConfig(dataset="seeds")

@@ -68,6 +68,10 @@ class TestSearchSpec:
         with pytest.raises(ValueError, match="Unknown parameters"):
             SearchSpec.from_dict({"algorithm": "random", "population_size": 8})
 
+    def test_rejects_removed_backend_param(self):
+        with pytest.raises(ValueError, match="Unknown parameters"):
+            SearchSpec.from_dict({"algorithm": "ga", "backend": "numpy"})
+
     @pytest.mark.parametrize("bad_name", ["ga/v2", "..", "a b", ".hidden", ""])
     def test_rejects_path_unsafe_names(self, bad_name):
         # Search names become job directory components.
@@ -109,6 +113,10 @@ class TestCampaignSpec:
     def test_unknown_pipeline_override_rejected(self):
         with pytest.raises(ValueError, match="Unknown pipeline overrides"):
             CampaignSpec.from_dict(_spec_dict(pipeline={"not_a_field": 1}))
+
+    def test_removed_backend_override_rejected(self):
+        with pytest.raises(ValueError, match="Unknown pipeline overrides"):
+            CampaignSpec.from_dict(_spec_dict(pipeline={"backend": "numpy"}))
 
     def test_unknown_top_level_field_rejected(self):
         with pytest.raises(ValueError, match="Unknown campaign fields"):

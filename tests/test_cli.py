@@ -45,6 +45,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train"])
 
+    def test_removed_backend_flag_exits(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure2", "--backend", "numpy"])
+        assert excinfo.value.code != 0
+        assert "--backend" in capsys.readouterr().err
+
 
 class TestCommands:
     """End-to-end CLI runs with the smallest usable settings (seeds + --fast)."""

@@ -1,4 +1,4 @@
-"""The redesigned public API surface and its backward-compatibility shims.
+"""The redesigned public API surface.
 
 Three guarantees:
 
@@ -7,9 +7,7 @@ Three guarantees:
   a row without exporting the name fails here);
 * the curated top-level ``repro`` namespace exposes the primary workflow
   objects and nothing in ``__all__`` is dangling;
-* the pre-redesign deep-import paths keep working through module
-  ``__getattr__`` shims that emit ``DeprecationWarning`` and return the
-  canonical objects.
+* the pre-redesign deep-import paths are gone.
 """
 
 from __future__ import annotations
@@ -80,50 +78,29 @@ class TestTopLevelNamespace:
             "CampaignRunner",
             "monte_carlo_fault_injection",
             "FixedPointSimulator",
-            "ArrayBackend",
-            "resolve_backend",
-            "available_backends",
         ]:
             assert name in repro.__all__ and hasattr(repro, name)
 
     def test_root_objects_are_the_canonical_ones(self):
         from repro.bespoke.simulator import FixedPointSimulator
-        from repro.core.backend import resolve_backend
         from repro.search.settings import EvaluationSettings
 
         assert repro.FixedPointSimulator is FixedPointSimulator
-        assert repro.resolve_backend is resolve_backend
         assert repro.EvaluationSettings is EvaluationSettings
 
 
-class TestDeprecatedImportPaths:
-    def test_objectives_evaluation_settings_shim(self):
-        import repro.search.objectives as objectives
-        from repro.search.settings import EvaluationSettings
-
-        with pytest.warns(DeprecationWarning, match="repro.search.settings"):
-            shimmed = objectives.EvaluationSettings
-        assert shimmed is EvaluationSettings
-
-    def test_ga_evaluation_settings_for_shim(self):
-        import repro.search.ga as ga
-        from repro.search.settings import evaluation_settings_for
-
-        with pytest.warns(DeprecationWarning, match="repro.search.settings"):
-            shimmed = ga.evaluation_settings_for
-        assert shimmed is evaluation_settings_for
-
-    def test_shims_do_not_swallow_real_attribute_errors(self):
+class TestRemovedImportPaths:
+    def test_deprecated_names_are_gone(self):
+        import repro.search as search
         import repro.search.ga as ga
         import repro.search.objectives as objectives
 
-        with pytest.raises(AttributeError):
-            objectives.no_such_name
-        with pytest.raises(AttributeError):
-            ga.no_such_name
+        assert not hasattr(objectives, "EvaluationSettings")
+        assert not hasattr(ga, "evaluation_settings_for")
+        assert not hasattr(search, "evaluation_settings_for")
 
     def test_canonical_imports_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            from repro.search import EvaluationSettings, evaluation_settings_for  # noqa: F401
+            from repro.search import EvaluationSettings  # noqa: F401
             from repro.search.settings import resolve_evaluation_settings  # noqa: F401

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import PipelineConfig
 from repro.core.pareto import pareto_front
 from repro.search import (
     CachedEvaluator,
@@ -15,6 +16,7 @@ from repro.search import (
     grid_search,
     objectives_of,
     random_search,
+    resolve_evaluation_settings,
     run_combined_search,
 )
 
@@ -220,20 +222,22 @@ class TestRobustnessAwareGA:
     def test_ga_inherits_pipeline_fault_knobs(self, prepared):
         from dataclasses import replace
 
-        from repro.search import evaluation_settings_for
+        from repro.search import resolve_evaluation_settings
 
         pipeline_config = replace(
             prepared.config, fault_rate=0.2, n_fault_trials=3, fault_model="level_shift"
         )
-        inherited = evaluation_settings_for(GAConfig(finetune_epochs=2), pipeline_config)
+        inherited = resolve_evaluation_settings(
+            pipeline_config, ga_config=GAConfig(finetune_epochs=2)
+        )
         assert inherited.fault_rate == 0.2
         assert inherited.n_fault_trials == 3
         assert inherited.fault_model == "level_shift"
         assert inherited.robustness_enabled
         # Explicit GA knobs beat the pipeline's.
-        overridden = evaluation_settings_for(
-            GAConfig(finetune_epochs=2, fault_rate=0.05, n_fault_trials=0),
+        overridden = resolve_evaluation_settings(
             pipeline_config,
+            ga_config=GAConfig(finetune_epochs=2, fault_rate=0.05, n_fault_trials=0),
         )
         assert overridden.fault_rate == 0.05
         assert overridden.n_fault_trials == 0
@@ -245,3 +249,57 @@ class TestRobustnessAwareGA:
     def test_invalid_fault_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             GAConfig(**kwargs)
+
+
+class TestResolveEvaluationSettings:
+    def test_defaults_with_no_configs(self):
+        assert resolve_evaluation_settings() == EvaluationSettings(
+            finetune_epochs=8, fault_rate=0.0, n_fault_trials=0, fault_model="open"
+        )
+
+    def test_pipeline_values_inherited(self):
+        config = PipelineConfig(
+            dataset="seeds",
+            finetune_epochs=3,
+            fault_rate=0.1,
+            n_fault_trials=7,
+            fault_model="short",
+        )
+        settings = resolve_evaluation_settings(config)
+        assert settings.finetune_epochs == 3
+        assert settings.fault_rate == 0.1
+        assert settings.n_fault_trials == 7
+        assert settings.fault_model == "short"
+
+    def test_ga_values_override_pipeline(self):
+        config = PipelineConfig(
+            dataset="seeds",
+            finetune_epochs=3,
+            fault_rate=0.1,
+            n_fault_trials=7,
+            fault_model="short",
+        )
+        ga_config = GAConfig(
+            finetune_epochs=5, fault_rate=0.2, n_fault_trials=9, fault_model="level_shift"
+        )
+        settings = resolve_evaluation_settings(config, ga_config=ga_config)
+        assert settings.finetune_epochs == 5
+        assert settings.fault_rate == 0.2
+        assert settings.n_fault_trials == 9
+        assert settings.fault_model == "level_shift"
+
+    def test_none_ga_knobs_fall_through_to_pipeline(self):
+        config = PipelineConfig(dataset="seeds", fault_rate=0.3)
+        ga_config = GAConfig()  # every inheritable knob defaults to None
+        settings = resolve_evaluation_settings(config, ga_config=ga_config)
+        assert settings.fault_rate == 0.3
+        # GAConfig.finetune_epochs is never None: the GA default wins
+        assert settings.finetune_epochs == ga_config.finetune_epochs
+
+    def test_ga_only_without_pipeline(self):
+        settings = resolve_evaluation_settings(
+            ga_config=GAConfig(fault_rate=0.05, n_fault_trials=2)
+        )
+        assert settings.fault_rate == 0.05
+        assert settings.n_fault_trials == 2
+        assert settings.fault_model == "open"

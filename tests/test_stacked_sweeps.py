@@ -24,12 +24,9 @@ from repro.nn import (
     build_mlp,
     finetune,
     finetune_population,
-    finetune_stacked,
     supports_stacking,
     train_classifier,
 )
-from repro.core import backend as backend_module
-from repro.core.backend import NumpyBackend, resolve_backend
 from repro.pruning import one_shot_pruning, prune_by_magnitude, pruning_sweep
 from repro.quantization import (
     QATConfig,
@@ -170,46 +167,3 @@ def test_sweeps_run_per_point_for_models_with_dropout(data):
     points = clustering_sweep(model, data, cluster_range=(2, 3), finetune_epochs=2, seed=0)
     assert [p.parameters["n_clusters"] for p in points] == [2, 3]
 
-
-class _NudgedBackend(NumpyBackend):
-    """numpy with every matmul scaled by 1.5: training on it ends elsewhere."""
-
-    name = "nudged-test"
-
-    def matmul(self, a, b):
-        return super().matmul(a, b) * 1.5
-
-
-def test_sweeps_ignore_repro_backend(trained, data, monkeypatch):
-    # The sweeps stand in for the serial trainer, which has no backend, so
-    # REPRO_BACKEND must not reach their stacked fine-tuning.
-    def run_sweeps():
-        points = (
-            quantization_sweep(trained, data, bit_range=(3,), qat_epochs=2, seed=0)
-            + pruning_sweep(trained, data, sparsity_range=(0.3,), finetune_epochs=2, seed=0)
-            + clustering_sweep(trained, data, cluster_range=(2,), finetune_epochs=2, seed=0)
-        )
-        return [(p.accuracy, p.area, p.parameters) for p in points]
-
-    def stacked_weights():
-        models = [trained.clone(), trained.clone()]
-        finetune_stacked(
-            models,
-            data.train.features,
-            data.train.labels,
-            data.validation.features,
-            data.validation.labels,
-            epochs=2,
-            seeds=[0, 1],
-        )
-        return [weight_bytes(model) for model in models]
-
-    reference, reference_stacked = run_sweeps(), stacked_weights()
-    monkeypatch.setitem(backend_module._FACTORIES, "nudged-test", _NudgedBackend)
-    monkeypatch.setattr(backend_module, "_INSTANCES", {})
-    monkeypatch.setenv("REPRO_BACKEND", "nudged-test")
-    assert isinstance(resolve_backend(None), _NudgedBackend)
-    # The nudge is visible wherever the environment selects the backend ...
-    assert stacked_weights() != reference_stacked
-    # ... but not in the sweeps.
-    assert run_sweeps() == reference
