@@ -27,9 +27,13 @@ Sub-packages:
 * :mod:`repro.reliability` — Monte-Carlo fault injection for hard-wired
   classifiers.
 * :mod:`repro.search` — the hardware-aware genetic algorithm.
-* :mod:`repro.campaign` — resumable multi-dataset search campaigns.
+* :mod:`repro.campaign` — resumable multi-dataset search campaigns
+  (imported on first use of ``CampaignRunner``, ``CampaignSpec`` or
+  ``load_spec``, so the CLI's search verbs do not pay for it).
 * :mod:`repro.experiments` — Figure/Table reproduction drivers.
 """
+
+import importlib
 
 from .core import (
     DesignPoint,
@@ -50,7 +54,6 @@ from .bespoke import (
     synthesize,
     synthesize_baseline,
 )
-from .campaign import CampaignRunner, CampaignSpec, load_spec
 from .datasets import load_dataset, prepare_split, train_val_test_split
 from .hardware import egt_library, get_technology
 from .nn import MLP, build_mlp, train_classifier
@@ -67,6 +70,26 @@ from .search import (
 )
 
 __version__ = "1.0.0"
+
+#: Top-level names resolved on first access (PEP 562), by their subpackage.
+_LAZY_NAMES = {
+    "CampaignRunner": "campaign",
+    "CampaignSpec": "campaign",
+    "load_spec": "campaign",
+}
+
+
+def __getattr__(name: str):
+    subpackage = _LAZY_NAMES.get(name)
+    if subpackage is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{subpackage}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_NAMES))
 
 __all__ = [
     "BespokeConfig",

@@ -16,17 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..hardware.arithmetic import (
     adder_tree_from_widths,
+    adder_trees_from_sorted_widths,
     constant_multiplier,
+    multiplier_costs,
     neuron_output_width,
     relu_unit,
 )
-from ..hardware.cost import HardwareCost
+from ..hardware.cost import HardwareCost, sum_gate_counts
 from ..hardware.csd import coefficient_bit_length
 from ..hardware.technology import TechnologyLibrary
 from .netlist import CircuitComponent
@@ -231,58 +233,116 @@ def build_layer_circuit(
     )
 
 
-def accumulate_layer_costs(
-    spec: LayerCircuitSpec,
-    tech: TechnologyLibrary,
-    emit: Callable[[str, HardwareCost], None],
-) -> LayerCircuitResult:
+@dataclass
+class LayerCosts:
+    """Cost-only record of one Dense layer: its blocks' costs, no components.
+
+    The blocks are the ones :func:`build_layer_circuit` instantiates, in its
+    order: every multiplier, then per neuron the adder tree followed by the
+    ReLU (when the layer has one).
+
+    Attributes:
+        multiplier_areas / multiplier_powers: per multiplier, in block order.
+        neuron_areas / neuron_powers: per adder tree and ReLU, interleaved
+            per neuron.
+        delays: slowest block per kind (``"multiplier"``, ``"adder_tree"``,
+            ``"activation"``); ``0.0`` for a kind the layer lacks.
+        gates: summed gate counts per kind, and under ``None`` for the
+            whole layer with cells in the order its blocks first use them.
+        relu: whether the neuron lists interleave ReLUs.
+        output_bits / n_multipliers / n_shared_products: as in
+            :class:`LayerCircuitResult`.
+    """
+
+    multiplier_areas: List[float]
+    multiplier_powers: List[float]
+    neuron_areas: List[float]
+    neuron_powers: List[float]
+    delays: Dict[str, float]
+    gates: Dict[Optional[str], Dict[str, int]]
+    relu: bool
+    output_bits: int
+    n_multipliers: int
+    n_shared_products: int
+
+    def kind_costs(self, kind: str) -> Tuple[List[float], List[float]]:
+        """Areas and powers of one kind's blocks, in block order."""
+        if kind == "multiplier":
+            return self.multiplier_areas, self.multiplier_powers
+        start, step = (1, 2) if kind == "activation" else (0, 2 if self.relu else 1)
+        return self.neuron_areas[start::step], self.neuron_powers[start::step]
+
+
+def accumulate_layer_costs(spec: LayerCircuitSpec, tech: TechnologyLibrary) -> LayerCosts:
     """Cost-only twin of :func:`build_layer_circuit`.
 
-    Calls ``emit(kind, cost)`` once per hardware block, in exactly the order
-    :func:`build_layer_circuit` instantiates components, but without
-    materializing any :class:`CircuitComponent` (no instance names, no
-    attribute dicts). The returned :class:`LayerCircuitResult` carries an
-    empty component list and the same bookkeeping (output bits, multiplier
-    and shared-product counts). Used by the search inner loop, where only
-    the aggregate synthesis report matters.
+    The multipliers come out of one row-wise ``np.sort`` of ``|weights|``:
+    the distinct non-zero magnitudes of each row in ascending order (what
+    the per-row ``np.unique`` of the netlist path yields) or, without
+    product sharing, every non-zero magnitude in row order; their costs are
+    one :func:`~repro.hardware.arithmetic.multiplier_costs` gather. Each
+    neuron's adder tree is looked up by its sorted operand widths. Used by
+    :func:`~repro.bespoke.synthesis.synthesize_cost_only`, where only the
+    aggregate synthesis report matters.
     """
     weights = np.asarray(spec.weights, dtype=np.int64)
-    biases = np.asarray(spec.biases, dtype=np.int64)
+    magnitudes = np.abs(weights)
+    if spec.share_products:
+        ordered = np.sort(magnitudes, axis=1)
+        first = ordered != 0
+        first[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
+        coefficients = ordered[first]
+    else:
+        coefficients = magnitudes[magnitudes != 0]
+    areas, powers, delays, adders = multiplier_costs(
+        coefficients, spec.input_bits, tech, spec.multiplier_method
+    ).T.tolist()
+    full_adders = int(sum(adders))
+    multiplier_gates = {"FA": full_adders} if full_adders else {}
 
-    plan, n_shared = _layer_mult_plan(spec, weights)
-    n_multipliers = 0
-    for _input_index, magnitudes, _fanouts in plan:
-        for magnitude in magnitudes:
-            emit(
-                "multiplier",
-                constant_multiplier(
-                    int(magnitude), spec.input_bits, tech, method=spec.multiplier_method
-                ),
-            )
-            n_multipliers += 1
+    # Operand widths per neuron, as _neuron_operand_widths gives them, sorted.
+    input_bits = spec.input_bits
+    bias_cap = spec.input_bits + spec.weight_bits
+    operands = []
+    for column, bias in zip(weights.T.tolist(), np.asarray(spec.biases).tolist()):
+        widths = [input_bits + abs(weight).bit_length() for weight in column if weight]
+        if bias:
+            widths.append(max(min(abs(bias).bit_length(), bias_cap), 1))
+        widths.sort()
+        operands.append(widths)
+    trees = adder_trees_from_sorted_widths(operands, tech)
+    blocks = trees
+    activations: List[HardwareCost] = []
+    if spec.relu:
+        relus = {
+            count: relu_unit(neuron_output_width(input_bits, spec.weight_bits, max(count, 1)), tech)
+            for count in {len(widths) for widths in operands}
+        }
+        activations = [relus[len(widths)] for widths in operands]
+        blocks = [block for pair in zip(trees, activations) for block in pair]
 
-    max_operands = 0
-    for operand_widths in _neuron_operand_widths(spec, weights, biases):
-        n_operands = len(operand_widths)
-        max_operands = max(max_operands, n_operands)
-        tree_cost = adder_tree_from_widths(operand_widths, tech) if operand_widths else (
-            adder_tree_from_widths([1], tech)
-        )
-        emit("adder_tree", tree_cost)
-        if spec.relu:
-            act_width = neuron_output_width(
-                spec.input_bits, spec.weight_bits, max(n_operands, 1)
-            )
-            emit("activation", relu_unit(act_width, tech))
-
-    output_bits = neuron_output_width(
-        spec.input_bits, spec.weight_bits, max(max_operands, 1)
-    )
-    return LayerCircuitResult(
-        components=[],
-        output_bits=output_bits,
-        n_multipliers=n_multipliers,
-        n_shared_products=n_shared,
+    gates: Dict[Optional[str], Dict[str, int]] = {
+        "multiplier": multiplier_gates,
+        "adder_tree": sum_gate_counts(tree.gate_counts for tree in trees),
+        "activation": sum_gate_counts(block.gate_counts for block in activations),
+        None: sum_gate_counts([multiplier_gates] + [block.gate_counts for block in blocks]),
+    }
+    max_operands = max((len(widths) for widths in operands), default=0)
+    return LayerCosts(
+        multiplier_areas=areas,
+        multiplier_powers=powers,
+        neuron_areas=[block.area for block in blocks],
+        neuron_powers=[block.power for block in blocks],
+        delays={
+            "multiplier": max(delays, default=0.0),
+            "adder_tree": max([tree.delay for tree in trees], default=0.0),
+            "activation": max([block.delay for block in activations], default=0.0),
+        },
+        gates=gates,
+        relu=spec.relu,
+        output_bits=neuron_output_width(input_bits, spec.weight_bits, max(max_operands, 1)),
+        n_multipliers=int(coefficients.size),
+        n_shared_products=int(np.count_nonzero(magnitudes)) - int(coefficients.size),
     )
 
 

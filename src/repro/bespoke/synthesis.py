@@ -8,11 +8,14 @@ rationale.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, Optional, Tuple
+import operator
+from itertools import chain
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from ..hardware.arithmetic import argmax_unit, register_bank
-from ..hardware.cost import HardwareCost
+from ..hardware.cost import HardwareCost, sum_gate_counts
 from ..hardware.technology import TechnologyLibrary, egt_library
 from ..nn.network import MLP
 from .circuit import (
@@ -22,7 +25,7 @@ from .circuit import (
     build_bespoke_circuit,
     derive_layer_spec,
 )
-from .layer_circuit import accumulate_layer_costs
+from .layer_circuit import LayerCosts, accumulate_layer_costs
 from .report import SynthesisReport
 
 
@@ -81,89 +84,35 @@ def report_from_circuit(circuit: BespokeCircuit) -> SynthesisReport:
     )
 
 
-class _CostAccumulator:
-    """Streaming equivalent of ``Netlist`` folds + ``report_from_circuit``.
+def _sum_in_order(values: Iterable[float]) -> float:
+    """Left fold of ``+`` from ``0.0``: a netlist ``HardwareCost`` sum, float
+    for float (``sum`` compensates its rounding from Python 3.12 on)."""
+    return functools.reduce(operator.add, values, 0.0)
 
-    Consumes ``(kind, layer_index, cost)`` triples in component-instantiation
-    order and reproduces — with the exact same float-accumulation order, so
-    the results are bit-identical — the totals, per-kind/per-layer
-    breakdowns, component counts and the critical-path delay that
-    :func:`report_from_circuit` derives from a full netlist.
-    """
 
-    def __init__(self) -> None:
-        self.area = 0.0
-        self.power = 0.0
-        self.gate_counts: Dict[str, int] = {}
-        # per kind / per layer: [area, power, delay_max, gate_counts]
-        self._by_kind: Dict[str, list] = {}
-        self._by_layer: Dict[Optional[int], list] = {}
-        self.counts: Dict[str, int] = {}
-        # critical-path ingredients
-        self._layer_kind_delay: Dict[Tuple[int, str], float] = {}
-        self._argmax_delay = 0.0
-        self._register_delay = 0.0
+def _cost(
+    areas: Iterable[float],
+    powers: Iterable[float],
+    delay: float,
+    gate_counts: Iterable[Mapping[str, int]],
+) -> HardwareCost:
+    """The netlist fold of some blocks, given their costs in block order."""
+    return HardwareCost(
+        area=_sum_in_order(areas),
+        power=_sum_in_order(powers),
+        delay=delay,
+        gate_counts=sum_gate_counts(gate_counts),
+    )
 
-    def add(self, kind: str, layer_index: Optional[int], cost: HardwareCost) -> None:
-        self.area += cost.area
-        self.power += cost.power
-        for cell, count in cost.gate_counts.items():
-            self.gate_counts[cell] = self.gate_counts.get(cell, 0) + count
 
-        bucket = self._by_kind.get(kind)
-        if bucket is None:
-            bucket = [0.0, 0.0, 0.0, {}]
-            self._by_kind[kind] = bucket
-        self._fold(bucket, cost)
-        bucket = self._by_layer.get(layer_index)
-        if bucket is None:
-            bucket = [0.0, 0.0, 0.0, {}]
-            self._by_layer[layer_index] = bucket
-        self._fold(bucket, cost)
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-
-        if layer_index is not None:
-            delay_key = (layer_index, kind)
-            previous = self._layer_kind_delay.get(delay_key, 0.0)
-            self._layer_kind_delay[delay_key] = max(previous, cost.delay)
-        elif kind == "argmax":
-            self._argmax_delay += cost.delay
-        elif kind == "register":
-            self._register_delay = max(self._register_delay, cost.delay)
-
-    @staticmethod
-    def _fold(bucket: list, cost: HardwareCost) -> None:
-        bucket[0] += cost.area
-        bucket[1] += cost.power
-        bucket[2] = max(bucket[2], cost.delay)
-        for cell, count in cost.gate_counts.items():
-            bucket[3][cell] = bucket[3].get(cell, 0) + count
-
-    def critical_path_delay(self, n_layers: int) -> float:
-        delay = 0.0
-        for layer_index in range(n_layers):
-            mult_delay = self._layer_kind_delay.get((layer_index, "multiplier"), 0.0)
-            tree_delay = self._layer_kind_delay.get((layer_index, "adder_tree"), 0.0)
-            act_delay = self._layer_kind_delay.get((layer_index, "activation"), 0.0)
-            delay += mult_delay + tree_delay + act_delay
-        delay += self._argmax_delay
-        delay += self._register_delay
-        return delay
-
-    @staticmethod
-    def _as_cost(bucket: list) -> HardwareCost:
-        return HardwareCost(
-            area=bucket[0], power=bucket[1], delay=bucket[2], gate_counts=bucket[3]
-        )
-
-    def by_kind(self) -> Dict[str, HardwareCost]:
-        return {kind: self._as_cost(bucket) for kind, bucket in self._by_kind.items()}
-
-    def by_layer(self) -> Dict[int, HardwareCost]:
-        return {
-            -1 if key is None else int(key): self._as_cost(bucket)
-            for key, bucket in self._by_layer.items()
-        }
+def _fold(blocks: List[HardwareCost]) -> HardwareCost:
+    """``sum(blocks, HardwareCost.zero())`` without the intermediate costs."""
+    return _cost(
+        [block.area for block in blocks],
+        [block.power for block in blocks],
+        max([block.delay for block in blocks], default=0.0),
+        [block.gate_counts for block in blocks],
+    )
 
 
 def synthesize_cost_only(
@@ -174,15 +123,17 @@ def synthesize_cost_only(
 ) -> SynthesisReport:
     """Synthesis report without materializing the netlist.
 
-    Walks the exact component sequence :func:`build_bespoke_circuit` would
-    instantiate — input registers, per-layer multipliers/adder trees/ReLUs,
-    argmax, output registers — but streams each block's memoized
-    :class:`HardwareCost` into a :class:`_CostAccumulator` instead of
-    building named :class:`~repro.bespoke.netlist.CircuitComponent` objects.
-    The report is bit-identical to ``report_from_circuit(build_bespoke_circuit(...))``
-    (asserted by ``tests/test_perf_fastpaths.py``); use this in search inner
-    loops, and the full netlist path for reports, ablation queries and
-    Verilog export.
+    Costs the blocks :func:`build_bespoke_circuit` would instantiate — input
+    registers, per-layer multipliers/adder trees/ReLUs, argmax, output
+    registers — with :func:`~repro.bespoke.layer_circuit.accumulate_layer_costs`
+    instead of named :class:`~repro.bespoke.netlist.CircuitComponent`
+    objects. The total, per-kind and per-layer areas and powers are their
+    blocks' costs added one by one in the netlist's order, so every float,
+    and every dict's key order, is the one
+    ``report_from_circuit(build_bespoke_circuit(...))`` gives (asserted by
+    ``tests/test_perf_fastpaths.py`` and ``tests/test_bespoke_synthesis.py``).
+    Use this in search inner loops, and the full netlist path for reports,
+    ablation queries and Verilog export.
     """
     config = config if config is not None else BespokeConfig()
     tech = tech if tech is not None else egt_library()
@@ -190,50 +141,102 @@ def synthesize_cost_only(
     if not dense_layers:
         raise ValueError("Cannot build a bespoke circuit for an MLP without Dense layers")
     relu_flags = _dense_relu_flags(model)
+    n_layers = len(dense_layers)
 
-    acc = _CostAccumulator()
+    layers: List[LayerCosts] = []
     current_input_bits = config.input_bits
-    if config.include_io_registers:
-        acc.add(
-            "register",
-            None,
-            register_bank(dense_layers[0].n_inputs * config.input_bits, tech),
-        )
-
-    n_multipliers = 0
-    n_shared_products = 0
     for layer_index, (layer, relu) in enumerate(zip(dense_layers, relu_flags)):
-        weight_bits = config.bits_for_layer(layer_index, len(dense_layers))
         spec, _fmt = derive_layer_spec(
-            layer, weight_bits, current_input_bits, relu, config
+            layer,
+            config.bits_for_layer(layer_index, n_layers),
+            current_input_bits,
+            relu,
+            config,
         )
-        result = accumulate_layer_costs(
-            spec, tech, lambda kind, cost: acc.add(kind, layer_index, cost)
-        )
-        n_multipliers += result.n_multipliers
-        n_shared_products += result.n_shared_products
-        current_input_bits = result.output_bits
+        costs = accumulate_layer_costs(spec, tech)
+        layers.append(costs)
+        current_input_bits = costs.output_bits
 
     n_classes = dense_layers[-1].n_outputs
     index_bits = max(int(math.ceil(math.log2(n_classes))), 1)
-    acc.add(
-        "argmax", None, argmax_unit(n_classes, current_input_bits, index_bits, tech)
-    )
+    argmax = argmax_unit(n_classes, current_input_bits, index_bits, tech)
+    # The global blocks (layer key -1) around the layers, in netlist order.
+    head: List[HardwareCost] = []
+    tail = [argmax]
     if config.include_io_registers:
-        acc.add("register", None, register_bank(index_bits, tech))
+        head = [register_bank(dense_layers[0].n_inputs * config.input_bits, tech)]
+        tail.append(register_bank(index_bits, tech))
+    registers = head + tail[1:]
 
-    total = HardwareCost(
-        area=acc.area,
-        power=acc.power,
-        delay=acc.critical_path_delay(len(dense_layers)),
-        gate_counts=acc.gate_counts,
+    # Each kind's layers, in the order the netlist first meets the kind.
+    kinds: Dict[str, List[LayerCosts]] = {"register": []} if registers else {}
+    for costs in layers:
+        if costs.n_multipliers:
+            kinds.setdefault("multiplier", []).append(costs)
+        kinds.setdefault("adder_tree", []).append(costs)
+        if costs.relu:
+            kinds.setdefault("activation", []).append(costs)
+    kinds.setdefault("argmax", [])
+
+    by_kind: Dict[str, HardwareCost] = {}
+    component_counts: Dict[str, int] = {}
+    for kind, members in kinds.items():
+        if kind in ("register", "argmax"):
+            blocks = registers if kind == "register" else [argmax]
+            by_kind[kind] = _fold(blocks)
+            component_counts[kind] = len(blocks)
+            continue
+        areas, powers = zip(*(costs.kind_costs(kind) for costs in members))
+        by_kind[kind] = _cost(
+            chain.from_iterable(areas),
+            chain.from_iterable(powers),
+            max(costs.delays[kind] for costs in members),
+            [costs.gates[kind] for costs in members],
+        )
+        component_counts[kind] = sum(len(kind_areas) for kind_areas in areas)
+
+    by_layer: Dict[int, HardwareCost] = {}
+    if head:
+        by_layer[-1] = _fold(head + tail)
+    for layer_index, costs in enumerate(layers):
+        by_layer[layer_index] = _cost(
+            chain(costs.multiplier_areas, costs.neuron_areas),
+            chain(costs.multiplier_powers, costs.neuron_powers),
+            max(0.0, *costs.delays.values()),
+            [costs.gates[None]],
+        )
+    if not head:
+        by_layer[-1] = _fold(tail)
+
+    # Critical path: per layer the slowest multiplier + adder tree +
+    # activation, chained serially, then the argmax and the slowest register.
+    delay = 0.0
+    for costs in layers:
+        delay += (
+            costs.delays["multiplier"] + costs.delays["adder_tree"] + costs.delays["activation"]
+        )
+    delay += argmax.delay
+    delay += max((block.delay for block in registers), default=0.0)
+    total = _cost(
+        chain(
+            [block.area for block in head],
+            *[chain(costs.multiplier_areas, costs.neuron_areas) for costs in layers],
+            [block.area for block in tail],
+        ),
+        chain(
+            [block.power for block in head],
+            *[chain(costs.multiplier_powers, costs.neuron_powers) for costs in layers],
+            [block.power for block in tail],
+        ),
+        delay,
+        [block.gate_counts for block in head]
+        + [costs.gates[None] for costs in layers]
+        + [block.gate_counts for block in tail],
     )
+
     metadata = {
         "input_bits": config.input_bits,
-        "weight_bits": [
-            config.bits_for_layer(i, len(dense_layers))
-            for i in range(len(dense_layers))
-        ],
+        "weight_bits": [config.bits_for_layer(i, n_layers) for i in range(n_layers)],
         "share_products": config.share_products,
         "multiplier_method": config.multiplier_method,
         "topology": model.topology(),
@@ -243,11 +246,11 @@ def synthesize_cost_only(
         circuit_name=name,
         technology=tech.name,
         total=total,
-        by_kind=acc.by_kind(),
-        by_layer=acc.by_layer(),
-        component_counts=acc.counts,
-        n_multipliers=n_multipliers,
-        n_shared_products=n_shared_products,
+        by_kind=by_kind,
+        by_layer=by_layer,
+        component_counts=component_counts,
+        n_multipliers=sum(costs.n_multipliers for costs in layers),
+        n_shared_products=sum(costs.n_shared_products for costs in layers),
         metadata=metadata,
     )
 

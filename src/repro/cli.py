@@ -28,18 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .analysis import export_sweep, gains_table, sweep_plot, sweep_table
 from .bespoke import BespokeConfig, FixedPointSimulator, export_verilog, synthesize
-from .campaign import (
-    CampaignRunner,
-    CampaignSpec,
-    build_report,
-    campaign_status,
-    format_report,
-    format_status,
-    load_spec,
-    read_json,
-    write_report,
-)
-from .campaign.journal import CampaignJournal
 from .core import MinimizationPipeline, PipelineConfig, fast_config, profiling
 from .datasets import resolve_dataset_names
 from .experiments import (
@@ -254,6 +242,8 @@ def _print_run_summary(summary) -> int:
 
 def _run_campaign(spec, args: argparse.Namespace) -> int:
     """Construct and drain a campaign runner, reporting expected errors cleanly."""
+    from .campaign import CampaignRunner
+
     try:
         runner = CampaignRunner(
             spec,
@@ -270,6 +260,8 @@ def _run_campaign(spec, args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
+    from .campaign import load_spec
+
     try:
         spec = load_spec(args.spec)
     except FileNotFoundError:
@@ -282,6 +274,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_resume(args: argparse.Namespace) -> int:
+    from .campaign import CampaignSpec, read_json
+    from .campaign.journal import CampaignJournal
+
     spec_path = CampaignJournal(args.out).spec_path
     if not spec_path.exists():
         print(f"no campaign found at {Path(args.out).resolve()} (missing spec.json)")
@@ -291,6 +286,8 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
+    from .campaign import campaign_status, format_status
+
     try:
         status = campaign_status(args.out)
     except FileNotFoundError as error:
@@ -310,7 +307,7 @@ def _retry_policy_from_args(args: argparse.Namespace):
 
 
 def _cmd_campaign_coordinate(args: argparse.Namespace) -> int:
-    from .campaign import FabricCoordinator
+    from .campaign import FabricCoordinator, load_spec
 
     try:
         spec = load_spec(args.spec)
@@ -376,6 +373,8 @@ def _cmd_campaign_work(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
+    from .campaign import build_report, format_report, write_report
+
     try:
         report = build_report(args.out)
     except FileNotFoundError:

@@ -10,9 +10,13 @@ Lloyd's algorithm on all of them as ``(P, N)`` padded arrays and reproduces
 * ``k = min(n_clusters, distinct values)``. When ``k`` equals the distinct
   count the centroids start as the sorted distinct values and no
   randomness is used.
-* Otherwise k-means++ seeding runs per problem, through the oracle's own
-  ``_kmeans_plus_plus_init``, on a generator restored to the state a fresh
-  ``default_rng(seed)`` starts in, so every RNG call is the oracle's.
+* Otherwise k-means++ seeding replays the oracle's
+  ``_kmeans_plus_plus_init``. A fresh ``default_rng(seed)`` gives every
+  problem of one seed and size the same draws (``integers(n)``, then one
+  ``random()`` per D² sample), so they are drawn once per ``(seed, n)``,
+  and ``Generator.choice``'s own arithmetic (numpy-order total,
+  ``cumsum`` of the probabilities, ``searchsorted``) runs on all problems
+  at once. Unseeded problems keep the oracle's per-problem loop.
 * Assignment is an ``argmin`` over ``|value - centroid|``: a tie goes to
   the lower centroid index, and padding centroids sit at ``+inf``.
 * Centroid sums replay numpy's summation order. A cluster of fewer than 8
@@ -166,27 +170,93 @@ def _seed_plus_plus(
     seeds: Sequence[Optional[int]],
     problems: np.ndarray,
 ) -> None:
-    """k-means++ seeding, one problem at a time, on per-seed restored generators.
+    """k-means++ seeding of ``problems``: ``_kmeans_plus_plus_init``'s centroids.
 
-    ``kmeans_1d`` builds a fresh ``default_rng(seed)`` per call; restoring
-    the saved initial state of one generator per distinct seed replays
-    exactly that stream without re-deriving it from the seed every time.
+    ``kmeans_1d`` builds a fresh ``default_rng(seed)`` per call, so every
+    problem of one seed and size draws the same numbers: ``integers(n)``
+    for the first centroid, then one ``random()`` per D² sample (what
+    ``Generator.choice`` with ``p`` consumes). Those draws are made once
+    per ``(seed, n)`` and the sampling runs on all problems at once. An
+    unseeded problem draws from its own fresh generator, one at a time.
     """
-    generators = {}
+    seeded = [problem for problem in problems if seeds[problem] is not None]
     for problem in problems:
-        seed = seeds[problem]
-        if seed is None:
-            rng = np.random.default_rng()
-        elif seed in generators:
+        if seeds[problem] is None:
+            count = int(k[problem])
+            centroids[problem, :count] = _kmeans_plus_plus_init(
+                values[problem, : sizes[problem]], count, np.random.default_rng()
+            )
+    if seeded:
+        _replay_plus_plus(centroids, values, sizes, k, seeds, np.array(seeded))
+
+
+def _replay_plus_plus(
+    centroids: np.ndarray,
+    values: np.ndarray,
+    sizes: np.ndarray,
+    k: np.ndarray,
+    seeds: Sequence[Optional[int]],
+    problems: np.ndarray,
+) -> None:
+    """:func:`_seed_plus_plus` for seeded problems, vectorized across them.
+
+    Each D² step is ``Generator.choice``'s own arithmetic on every problem
+    still sampling: the total is numpy's sum of the squared distances
+    (:func:`cluster_sums`, in numpy's summation order), ``cdf =
+    cumsum(squared / total)`` normalized by its last entry, and the index
+    is ``searchsorted(cdf, u, "right")``, i.e. the count of entries
+    ``<= u``. A zero total fills the remaining centroids with the first
+    one and ends that problem, as in ``_kmeans_plus_plus_init``.
+    """
+    counts = k[problems]
+    n = sizes[problems]
+    starts = np.empty(problems.size, dtype=np.intp)
+    uniforms = np.zeros((problems.size, int(counts.max()) - 1))
+    groups: dict = {}
+    for row, problem in enumerate(problems.tolist()):
+        groups.setdefault((seeds[problem], int(sizes[problem])), []).append(row)
+    generators: dict = {}
+    for (seed, size), rows in groups.items():
+        if seed in generators:
             rng, state = generators[seed]
             rng.bit_generator.state = state
         else:
             rng = np.random.default_rng(seed)
             generators[seed] = (rng, rng.bit_generator.state)
-        count = int(k[problem])
-        centroids[problem, :count] = _kmeans_plus_plus_init(
-            values[problem, : sizes[problem]], count, rng
+        starts[rows] = rng.integers(size)
+        draws = rng.random(int(counts[rows].max()) - 1)
+        uniforms[rows, : draws.size] = draws
+
+    points = values[problems]
+    valid = np.arange(points.shape[1]) < n[:, None]
+    chosen = points[np.arange(problems.size), starts]
+    seeded = np.zeros((problems.size, uniforms.shape[1] + 1))
+    seeded[:, 0] = chosen
+    distances = np.abs(points - chosen[:, None])
+    active = np.flatnonzero(counts > 1)
+    for index in range(1, seeded.shape[1]):
+        active = active[counts[active] > index]
+        if not active.size:
+            break
+        squared = distances[active] ** 2
+        total = cluster_sums(
+            squared, valid[active], np.zeros(squared.shape, dtype=np.intp), 1
+        )[0][:, 0]
+        for row in active[total == 0.0]:
+            seeded[row, index : counts[row]] = seeded[row, 0]
+        sampling = total != 0.0
+        active = active[sampling]
+        cdf = np.cumsum(squared[sampling] / total[sampling, None], axis=1)
+        cdf /= cdf[np.arange(active.size), n[active] - 1][:, None]
+        picks = np.count_nonzero(
+            (cdf <= uniforms[active, index - 1, None]) & valid[active], axis=1
         )
+        chosen = points[active, picks]
+        seeded[active, index] = chosen
+        distances[active] = np.minimum(
+            distances[active], np.abs(points[active] - chosen[:, None])
+        )
+    centroids[problems, : seeded.shape[1]] = seeded
 
 
 def _assign(values: np.ndarray, centroids: np.ndarray, slot_valid: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..bespoke.circuit import BespokeConfig
-from ..bespoke.synthesis import synthesize
+from ..bespoke.synthesis import synthesize_cost_only
 from ..core.results import DesignPoint
 from ..datasets.preprocessing import PreparedData
 from ..hardware.technology import TechnologyLibrary
@@ -62,7 +62,7 @@ def clustering_sweep(
     points: List[DesignPoint] = []
     for n_clusters, candidate, result in zip(cluster_range, candidates, results):
         accuracy = candidate.evaluate_accuracy(data.test.features, data.test.labels)
-        report = synthesize(
+        report = synthesize_cost_only(
             candidate,
             config=BespokeConfig(input_bits=input_bits, weight_bits=weight_bits),
             tech=tech,

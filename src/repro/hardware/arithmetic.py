@@ -15,10 +15,11 @@ All block costs are pure functions of their arguments, and the search inner
 loop asks for the same small domain over and over (coefficients below
 ``2**weight_bits``, a handful of operand-width multisets per layer), so the
 heavyweight entry points — :func:`constant_multiplier`,
-:func:`adder_tree_from_widths`, :func:`argmax_unit` — are memoized on
-``(arguments, tech.cache_key)``. The memoized values are frozen
-:class:`HardwareCost` instances shared between callers; they are built by
-the same float operations as the original serial folds, so cached and
+:func:`adder_tree_from_widths`, :func:`relu_unit`, :func:`argmax_unit` —
+are memoized on ``(arguments, tech.cache_key)``, and
+:func:`multiplier_costs` lays the multiplier memo out as an array. The
+memoized values are frozen :class:`HardwareCost` instances shared between
+callers; they are built by the same float operations as the original serial folds, so cached and
 uncached results are bit-identical (asserted by the property tests in
 ``tests/test_perf_fastpaths.py``).
 """
@@ -28,6 +29,8 @@ from __future__ import annotations
 import heapq
 import math
 from typing import Dict, Iterable, List, Tuple
+
+import numpy as np
 
 from .cost import HardwareCost
 from .csd import (
@@ -41,6 +44,8 @@ _RIPPLE_CACHE: Dict[Tuple, HardwareCost] = {}
 _MULT_CACHE: Dict[Tuple, HardwareCost] = {}
 _TREE_CACHE: Dict[Tuple, HardwareCost] = {}
 _ARGMAX_CACHE: Dict[Tuple, HardwareCost] = {}
+_RELU_CACHE: Dict[Tuple, HardwareCost] = {}
+_MULT_TABLES: Dict[Tuple, np.ndarray] = {}
 
 
 def clear_cost_caches() -> None:
@@ -49,6 +54,8 @@ def clear_cost_caches() -> None:
     _MULT_CACHE.clear()
     _TREE_CACHE.clear()
     _ARGMAX_CACHE.clear()
+    _RELU_CACHE.clear()
+    _MULT_TABLES.clear()
 
 
 def _chain_totals(
@@ -179,6 +186,37 @@ def _constant_multiplier_uncached(
     )
 
 
+def multiplier_costs(
+    magnitudes: np.ndarray, input_bits: int, tech: TechnologyLibrary, method: str = "csd"
+) -> np.ndarray:
+    """:func:`constant_multiplier` of many non-negative coefficients at once.
+
+    Returns ``(n, 4)`` rows ``[area, power, delay, full adders]``, the
+    memoized cost of each magnitude (a non-negative coefficient's
+    multiplier uses full adders only). The rows come from one table per
+    ``(input_bits, method, tech.cache_key)``, indexed by magnitude and
+    filled on first use, so a hit is one gather.
+    """
+    key = (int(input_bits), method, tech.cache_key)
+    table = _MULT_TABLES.get(key)
+    top = int(magnitudes.max(initial=0))
+    if table is None or top >= table.shape[0]:
+        grown = np.full((1 << max(top.bit_length(), 1), 4), np.nan)
+        if table is not None:
+            grown[: table.shape[0]] = table
+        table = _MULT_TABLES[key] = grown
+    rows = table[magnitudes]
+    missing = np.isnan(rows[:, 0])
+    if missing.any():
+        for magnitude in set(magnitudes[missing].tolist()):
+            cost = constant_multiplier(magnitude, input_bits, tech, method=method)
+            if set(cost.gate_counts) - {"FA"}:
+                raise ValueError("multiplier_costs expects full-adder-only multipliers")
+            table[magnitude] = (cost.area, cost.power, cost.delay, cost.gate_counts.get("FA", 0))
+        rows = table[magnitudes]
+    return rows
+
+
 def adder_tree(
     n_operands: int, operand_width: int, tech: TechnologyLibrary
 ) -> HardwareCost:
@@ -264,16 +302,40 @@ def adder_tree_from_widths(
     return cost
 
 
+def adder_trees_from_sorted_widths(
+    rows: Iterable[List[int]], tech: TechnologyLibrary
+) -> List[HardwareCost]:
+    """:func:`adder_tree_from_widths` of each row of ascending positive widths.
+
+    A row that is already sorted is its own memo key, so a hit costs one
+    dict lookup; misses and rows of fewer than two operands go through
+    :func:`adder_tree_from_widths` (an empty row costs as ``[1]``).
+    """
+    cache_key = tech.cache_key
+    trees = []
+    for row in rows:
+        cost = _TREE_CACHE.get((tuple(row), cache_key)) if len(row) > 1 else None
+        trees.append(cost if cost is not None else adder_tree_from_widths(row or [1], tech))
+    return trees
+
+
 def relu_unit(width: int, tech: TechnologyLibrary) -> HardwareCost:
     """ReLU on a two's-complement value: sign bit gates the output bus.
 
-    One inverter for the sign bit plus one AND gate per data bit.
+    One inverter for the sign bit plus one AND gate per data bit. Memoized
+    on ``(width, tech.cache_key)``.
     """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
+    key = (int(width), tech.cache_key)
+    cached = _RELU_CACHE.get(key)
+    if cached is not None:
+        return cached
     sign = tech.cost("INV", 1)
     gates = tech.cost("AND2", width)
-    return sign.serial(gates)
+    cost = sign.serial(gates)
+    _RELU_CACHE[key] = cost
+    return cost
 
 
 def comparator(width: int, tech: TechnologyLibrary) -> HardwareCost:

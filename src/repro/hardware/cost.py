@@ -10,7 +10,7 @@ and powers add, delays take the max unless combined serially with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Dict, Iterable, Mapping
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class HardwareCost:
             area=self.area + other.area,
             power=self.power + other.power,
             delay=max(self.delay, other.delay),
-            gate_counts=_merge_counts(self.gate_counts, other.gate_counts),
+            gate_counts=sum_gate_counts((self.gate_counts, other.gate_counts)),
         )
 
     def __radd__(self, other: object) -> "HardwareCost":
@@ -62,7 +62,7 @@ class HardwareCost:
             area=self.area + other.area,
             power=self.power + other.power,
             delay=self.delay + other.delay,
-            gate_counts=_merge_counts(self.gate_counts, other.gate_counts),
+            gate_counts=sum_gate_counts((self.gate_counts, other.gate_counts)),
         )
 
     def scaled(self, factor: float) -> "HardwareCost":
@@ -101,8 +101,10 @@ class HardwareCost:
         return HardwareCost()
 
 
-def _merge_counts(a: Mapping[str, int], b: Mapping[str, int]) -> Dict[str, int]:
-    merged = dict(a)
-    for key, value in b.items():
-        merged[key] = merged.get(key, 0) + value
-    return merged
+def sum_gate_counts(gate_counts: Iterable[Mapping[str, int]]) -> Dict[str, int]:
+    """Gate-count mappings added up; cells keep the order they first appear in."""
+    total: Dict[str, int] = {}
+    for counts in gate_counts:
+        for cell, count in counts.items():
+            total[cell] = total.get(cell, 0) + count
+    return total

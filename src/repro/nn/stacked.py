@@ -26,6 +26,15 @@ through exactly the float operations the serial
   matches every serial trajectory.
 * Per-genome learning-rate decay is a ``(G, 1)`` broadcast column in
   :class:`~repro.nn.optimizers.StackedAdam`.
+* The post-epoch train accuracy runs only when early stopping watches it
+  (no validation split and ``monitor == "val_accuracy"``). Otherwise each
+  epoch keeps a copy of its ``(G_active, P)`` effective parameters and
+  active rows, and the first read of ``train_accuracy`` on any of the fit's
+  histories runs the same batched forward, ``argmax`` and ``mean`` over
+  them (:class:`_PendingTrainAccuracy`): the same inputs, shapes and ops,
+  so the same values. The record owns its copies of the parameters and
+  the training set, so later changes to the models or the caller's arrays
+  do not reach it.
 
 The softmax cross-entropy avoids numpy's slow loops along the short class
 axis with rewrites that are exact, not approximate (both trainers share
@@ -55,6 +64,7 @@ it replaces.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -149,6 +159,43 @@ def _quantize(
     out += 0.0
     out *= scale
     return out
+
+
+class _PendingTrainAccuracy:
+    """The post-epoch train accuracies of one stacked fit, computed on first read.
+
+    Keeps a copy of every epoch's ``(G_active, P)`` effective parameters and
+    active rows, and the fit's own copies of the training set; the first
+    :meth:`values` call runs the batched forward, ``argmax`` and ``mean``
+    the eager fit would have run after each epoch, on the same inputs, so
+    the accuracies are the eager ones bit for bit. Later changes to the
+    models or to the caller's arrays do not reach it.
+    """
+
+    def __init__(self, trainer: "StackedTrainer", x_train: np.ndarray, y_train: np.ndarray) -> None:
+        self._trainer = trainer
+        self._n_models = len(trainer.models)
+        self._x_train = x_train
+        self._y_train = y_train
+        self._epochs: List[Tuple[np.ndarray, List[int]]] = []
+        self._values: Optional[List[List[float]]] = None
+
+    def record(self, effective: np.ndarray, active: Sequence[int]) -> None:
+        """Keep one epoch's effective parameters (stack row ``i`` is genome ``active[i]``)."""
+        self._epochs.append((effective.copy(), list(active)))
+
+    def values(self, genome: int) -> List[float]:
+        """Genome ``genome``'s train accuracy after each of its epochs."""
+        if self._values is None:
+            self._values = [[] for _ in range(self._n_models)]
+            for effective, active in self._epochs:
+                views = self._trainer._layer_views(effective)
+                scores = self._trainer._forward(self._x_train, views)
+                accuracies = (np.argmax(scores, axis=-1) == self._y_train).mean(axis=-1)
+                for row, index in enumerate(active):
+                    self._values[index].append(float(accuracies[row]))
+            self._epochs = []
+        return self._values[genome]
 
 
 class StackedTrainer:
@@ -366,6 +413,13 @@ class StackedTrainer:
         if has_val:
             x_val = np.asarray(x_val, dtype=np.float64)
             y_val = _class_labels(y_val, n_classes)
+        # Early stopping watches the train accuracy only without a validation
+        # split under the "val_accuracy" monitor; otherwise it is left to the
+        # first read of the histories.
+        pending = None
+        if has_val or cfg.monitor == "val_loss":
+            x_train = x_train.copy()
+            pending = _PendingTrainAccuracy(self, x_train, y_train)
 
         n_models = len(self.models)
         n_samples = x_train.shape[0]
@@ -377,6 +431,9 @@ class StackedTrainer:
 
         # Per-genome bookkeeping, indexed by ORIGINAL genome position.
         histories = [TrainingHistory() for _ in range(n_models)]
+        if pending is not None:
+            for genome, history in enumerate(histories):
+                history._defer_train_accuracy(functools.partial(pending.values, genome))
         best_metric = [-np.inf] * n_models
         best_params: List[Optional[np.ndarray]] = [None] * n_models
         final_params: List[Optional[np.ndarray]] = [None] * n_models
@@ -395,8 +452,11 @@ class StackedTrainer:
                 x_train, y_train, n_samples, histories,
             )
             # Post-epoch evaluation on the freshly re-quantized parameters.
-            train_scores = self._forward(x_train, views)
-            train_accuracies = (np.argmax(train_scores, axis=-1) == y_train).mean(axis=-1)
+            if pending is None:
+                train_scores = self._forward(x_train, views)
+                train_accuracies = (np.argmax(train_scores, axis=-1) == y_train).mean(axis=-1)
+            else:
+                pending.record(pack["effective"], active)
             if has_val:
                 val_scores = self._forward(x_val, views)
                 val_losses = sparse_softmax_cross_entropy(val_scores, y_val).mean(axis=-1)
@@ -405,8 +465,9 @@ class StackedTrainer:
             stopped_rows: List[int] = []
             for row, genome in enumerate(active):
                 history = histories[genome]
-                train_acc = float(train_accuracies[row])
-                history.train_accuracy.append(train_acc)
+                if pending is None:
+                    train_acc = float(train_accuracies[row])
+                    history.train_accuracy.append(train_acc)
                 if has_val:
                     val_loss = float(val_losses[row])
                     val_acc = float(val_accuracies[row])

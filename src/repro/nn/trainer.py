@@ -10,8 +10,8 @@ trainer covers all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,14 +28,61 @@ from .network import MLP
 from .optimizers import Adam, Optimizer, get_optimizer
 
 
-@dataclass
 class TrainingHistory:
-    """Per-epoch record of losses and accuracies."""
+    """Per-epoch record of losses and accuracies.
 
-    train_loss: List[float] = field(default_factory=list)
-    train_accuracy: List[float] = field(default_factory=list)
-    val_loss: List[float] = field(default_factory=list)
-    val_accuracy: List[float] = field(default_factory=list)
+    Constructed, compared (``==``) and printed like a dataclass of its four
+    lists. A stacked fit (:class:`~repro.nn.stacked.StackedTrainer`) whose
+    early stopping does not watch the train accuracy leaves
+    ``train_accuracy`` pending: the values are computed on its first read,
+    and are the ones an eager fit records.
+    """
+
+    def __init__(
+        self,
+        train_loss: Optional[List[float]] = None,
+        train_accuracy: Optional[List[float]] = None,
+        val_loss: Optional[List[float]] = None,
+        val_accuracy: Optional[List[float]] = None,
+    ) -> None:
+        self._pending_train_accuracy: Optional[Callable[[], List[float]]] = None
+        self.train_loss = [] if train_loss is None else train_loss
+        self.train_accuracy = [] if train_accuracy is None else train_accuracy
+        self.val_loss = [] if val_loss is None else val_loss
+        self.val_accuracy = [] if val_accuracy is None else val_accuracy
+
+    @property
+    def train_accuracy(self) -> List[float]:
+        if self._pending_train_accuracy is not None:
+            source, self._pending_train_accuracy = self._pending_train_accuracy, None
+            self._train_accuracy.extend(source())
+        return self._train_accuracy
+
+    @train_accuracy.setter
+    def train_accuracy(self, values: List[float]) -> None:
+        self._train_accuracy = values
+        self._pending_train_accuracy = None
+
+    def _defer_train_accuracy(self, source: Callable[[], List[float]]) -> None:
+        """Leave the train accuracies to ``source``, called on the first read."""
+        self._pending_train_accuracy = source
+
+    def _fields(self) -> Tuple[List[float], ...]:
+        return (self.train_loss, self.train_accuracy, self.val_loss, self.val_accuracy)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, like an eq dataclass
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(train_loss={self.train_loss!r}, "
+            f"train_accuracy={self.train_accuracy!r}, val_loss={self.val_loss!r}, "
+            f"val_accuracy={self.val_accuracy!r})"
+        )
 
     @property
     def epochs_run(self) -> int:

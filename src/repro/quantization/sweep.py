@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..bespoke.circuit import BespokeConfig
-from ..bespoke.synthesis import synthesize
+from ..bespoke.synthesis import synthesize_cost_only
 from ..core.results import DesignPoint
 from ..datasets.preprocessing import PreparedData
 from ..hardware.technology import TechnologyLibrary
@@ -67,7 +67,7 @@ def quantization_sweep(
     points: List[DesignPoint] = []
     for bits, candidate in zip(bit_range, candidates):
         accuracy = candidate.evaluate_accuracy(data.test.features, data.test.labels)
-        report = synthesize(
+        report = synthesize_cost_only(
             candidate,
             config=BespokeConfig(input_bits=input_bits, weight_bits=int(bits)),
             tech=tech,

@@ -1,10 +1,19 @@
 """Tests for the full bespoke circuit construction and synthesis reports."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bespoke.circuit import BespokeConfig, build_bespoke_circuit
-from repro.bespoke.synthesis import report_from_circuit, synthesize, synthesize_baseline
+from repro.bespoke.synthesis import (
+    report_from_circuit,
+    synthesize,
+    synthesize_baseline,
+    synthesize_cost_only,
+)
 from repro.hardware.technology import egt_library, silicon_library
+from repro.nn.layers import ActivationLayer, Dense
 from repro.nn.network import MLP, build_mlp
 from repro.pruning.magnitude import prune_by_magnitude
 from repro.quantization.qat import attach_quantizers
@@ -165,3 +174,95 @@ class TestBaselineSynthesis:
         report = synthesize(model)
         per_layer_max = max(cost.delay for cost in report.by_kind.values())
         assert report.delay >= per_layer_max
+
+
+# --- cost-only synthesis vs the netlist oracle ------------------------------------
+
+
+def _assert_cost_equal(fast, full):
+    """Floats by ``.hex()`` (so ``-0.0 != 0.0``), gate counts in key order."""
+    for field in ("area", "power", "delay"):
+        assert getattr(fast, field).hex() == getattr(full, field).hex(), field
+    assert fast.gate_counts == full.gate_counts
+    assert list(fast.gate_counts) == list(full.gate_counts)
+
+
+def _assert_reports_identical(fast, full):
+    _assert_cost_equal(fast.total, full.total)
+    for breakdown in ("by_kind", "by_layer"):
+        fast_parts, full_parts = getattr(fast, breakdown), getattr(full, breakdown)
+        assert list(fast_parts) == list(full_parts), breakdown
+        for key in full_parts:
+            _assert_cost_equal(fast_parts[key], full_parts[key])
+    assert fast.component_counts == full.component_counts
+    assert list(fast.component_counts) == list(full.component_counts)
+    assert fast.n_multipliers == full.n_multipliers
+    assert fast.n_shared_products == full.n_shared_products
+    assert fast.metadata == full.metadata
+    assert (fast.circuit_name, fast.technology) == (full.circuit_name, full.technology)
+
+
+#: Weight values on a coarse grid, so magnitudes repeat (product sharing),
+#: hit powers of two and zero.
+_GRID_WEIGHTS = st.sampled_from([0.0, 0.25, -0.25, 0.5, -0.75, 1.0, -1.0, 1.5, -2.0, 0.3])
+#: Zero, ordinary, large, and biases far beyond ``input_bits + weight_bits``
+#: bits, whose operand width the circuit clamps.
+_BIASES = st.sampled_from([0.0, 0.1, -0.4, 1.0, -3.0, 250.0, -1.0e9])
+
+
+@st.composite
+def _bespoke_models(draw):
+    """A 1-3 Dense-layer MLP with zero rows, pruned layers and odd activations."""
+    n_layers = draw(st.integers(1, 3))
+    widths = [draw(st.integers(1, 6)) for _ in range(n_layers + 1)]
+    hidden_activation = draw(st.sampled_from(["relu", "leaky_relu", "tanh"]))
+    model = MLP()
+    for index in range(n_layers):
+        layer = Dense(widths[index], widths[index + 1], use_bias=draw(st.booleans()))
+        shape = layer.weights.shape
+        layer.weights = np.array(
+            draw(st.lists(_GRID_WEIGHTS, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+        ).reshape(shape)
+        zero_rows = draw(st.lists(st.booleans(), min_size=shape[0], max_size=shape[0]))
+        layer.weights[np.array(zero_rows)] = 0.0
+        if draw(st.integers(0, 5)) == 0:
+            layer.mask = np.zeros(shape)  # a fully pruned layer
+        if layer.use_bias:
+            layer.bias = np.array(
+                draw(st.lists(_BIASES, min_size=shape[1], max_size=shape[1]))
+            )
+        model.add(layer)
+        if index < n_layers - 1:
+            model.add(ActivationLayer(hidden_activation))
+    if draw(st.booleans()):
+        model.add(ActivationLayer("relu"))  # a last layer with a ReLU block
+    config = BespokeConfig(
+        input_bits=draw(st.integers(1, 8)),
+        weight_bits=[draw(st.integers(2, 8)) for _ in range(n_layers)],
+        share_products=draw(st.booleans()),
+        multiplier_method=draw(st.sampled_from(["csd", "binary"])),
+        include_io_registers=draw(st.booleans()),
+    )
+    return model, config
+
+
+class TestCostOnlyMatchesNetlist:
+    """``synthesize_cost_only`` == ``report_from_circuit(build_bespoke_circuit(...))``."""
+
+    @given(case=_bespoke_models(), silicon=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_property(self, case, silicon):
+        model, config = case
+        tech = silicon_library() if silicon else egt_library()
+        full = report_from_circuit(build_bespoke_circuit(model, config=config, tech=tech, name="m"))
+        fast = synthesize_cost_only(model, config=config, tech=tech, name="m")
+        _assert_reports_identical(fast, full)
+
+    def test_fully_pruned_network(self, model):
+        pruned = model.clone()
+        for layer in pruned.dense_layers:
+            layer.mask = np.zeros_like(layer.weights)
+        full = synthesize(pruned, name="p")
+        fast = synthesize_cost_only(pruned, name="p")
+        assert "multiplier" not in full.by_kind
+        _assert_reports_identical(fast, full)

@@ -25,6 +25,8 @@ from repro.clustering import (
     reproject_clusters,
     reproject_population_clusters,
 )
+from repro.clustering.batched import _seed_plus_plus
+from repro.clustering.kmeans import _kmeans_plus_plus_init
 from repro.nn import build_mlp
 
 #: Quarter steps: plenty of duplicates, and of values exactly halfway
@@ -202,3 +204,76 @@ def test_population_reprojection_of_whole_layer_clusterings():
 
 def weight_list(model):
     return [layer.weights.tobytes() for layer in model.dense_layers]
+
+
+#: Values spaced 1e-200 apart: every squared distance underflows to 0.0, so
+#: k-means++ hits its ``total == 0.0`` early fill.
+TINY = [0.0, 1e-200, 2e-200, 3e-200]
+seeding_values = st.one_of(
+    st.lists(st.sampled_from(GRID), min_size=1, max_size=8),
+    st.lists(st.sampled_from(GRID), min_size=9, max_size=40),  # numpy's pairwise sum
+    st.lists(st.floats(-4.0, 4.0, allow_nan=False).map(lambda v: v + 0.0), min_size=2, max_size=24),
+    st.lists(st.sampled_from(TINY), min_size=2, max_size=10),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cases=st.lists(
+        st.tuples(seeding_values, st.sampled_from([1, 2, 3, 5, 7])), min_size=1, max_size=10
+    ),
+    seed_pool=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    picks=st.lists(st.integers(0, 2), min_size=10, max_size=10),
+)
+def test_plus_plus_seeding_replays_the_oracle(cases, seed_pool, picks):
+    """Seeding alone, problem by problem, against ``_kmeans_plus_plus_init``.
+
+    Seeds come from a pool of at most three, so problems of one seed and
+    one size repeat and share their replayed draws.
+    """
+    problems, n_clusters = map(list, zip(*cases))
+    problem_seeds = [seed_pool[pick % len(seed_pool)] for pick in picks[: len(problems)]]
+    padded, sizes = _pad(problems)
+    centroids = np.zeros((len(problems), max(n_clusters)))
+    _seed_plus_plus(
+        centroids,
+        padded,
+        np.array(sizes),
+        np.array(n_clusters),
+        problem_seeds,
+        np.arange(len(problems)),
+    )
+    for index, values in enumerate(problems):
+        oracle = _kmeans_plus_plus_init(
+            np.array(values), n_clusters[index], np.random.default_rng(problem_seeds[index])
+        )
+        assert centroids[index, : n_clusters[index]].tobytes() == oracle.tobytes()
+        assert not centroids[index, n_clusters[index] :].any()
+
+
+@pytest.mark.parametrize(
+    "values, n_clusters",
+    [
+        (TINY, 3),  # every squared distance is 0.0: early fill
+        ([0.0, 0.0, 1e-200, 1.0], 3),  # early fill after one D² sample
+        ([0.25 * (i % 7) for i in range(9)], 3),  # 9 values: pairwise total
+        ([0.1 * (i % 11) for i in range(140)], 4),  # above numpy's pairwise block
+        ([1.0, 1.0, 1.0, 2.0], 1),  # budget 1: the first draw only
+    ],
+)
+def test_batch_seeding_edge_cases(values, n_clusters):
+    # The same seed and size twice (replayed draws), another size, another seed.
+    problems = [values, list(values), values[:2] + [9.0], values]
+    assert_matches_oracle(problems, [n_clusters] * 4, [11, 11, 11, 12])
+
+
+def test_unseeded_problems_next_to_seeded_ones():
+    problems = [[0.0, 1.0, 2.0, 3.0, 4.0]] * 4
+    padded, sizes = _pad(problems)
+    result = kmeans_1d_batch(padded, sizes, [2] * 4, [5, None, 5, None])
+    oracle = kmeans_1d(np.array(problems[0]), 2, seed=5)
+    for index in (0, 2):
+        assert result.problem_centroids(index).tobytes() == oracle.centroids.tobytes()
+    for index in (1, 3):
+        centroids = result.problem_centroids(index)
+        assert centroids.size == 2 and centroids[0] < centroids[1]

@@ -13,7 +13,10 @@ Three guarantees:
 from __future__ import annotations
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -87,6 +90,41 @@ class TestTopLevelNamespace:
 
         assert repro.FixedPointSimulator is FixedPointSimulator
         assert repro.EvaluationSettings is EvaluationSettings
+
+
+class TestLazyCampaignImport:
+    """``import repro.cli`` leaves ``repro.campaign`` unloaded until it is used."""
+
+    SCRIPT = """
+import sys
+import repro.cli
+assert "repro.campaign" not in sys.modules, "import repro.cli loaded repro.campaign"
+import repro
+assert {"CampaignRunner", "CampaignSpec", "load_spec"} <= set(dir(repro))
+from repro.campaign.runner import CampaignRunner
+assert repro.CampaignRunner is CampaignRunner
+namespace = {}
+exec("from repro import *", namespace)
+assert namespace["CampaignSpec"] is repro.CampaignSpec
+assert namespace["load_spec"] is repro.load_spec
+try:
+    repro.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown top-level names must raise AttributeError")
+"""
+
+    def test_cli_import_defers_campaign(self):
+        src = Path(repro.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestRemovedImportPaths:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.bespoke.circuit import BespokeConfig
-from repro.bespoke.synthesis import synthesize
+from repro.bespoke.synthesis import synthesize, synthesize_cost_only
+from repro.clustering import sweep as clustering_sweep_module
 from repro.clustering import (
     cluster_and_finetune_population,
     cluster_model_weights,
@@ -28,6 +29,8 @@ from repro.nn import (
     train_classifier,
 )
 from repro.pruning import one_shot_pruning, prune_by_magnitude, pruning_sweep
+from repro.pruning import sweep as pruning_sweep_module
+from repro.quantization import sweep as quantization_sweep_module
 from repro.quantization import (
     QATConfig,
     attach_quantizers,
@@ -167,3 +170,34 @@ def test_sweeps_run_per_point_for_models_with_dropout(data):
     points = clustering_sweep(model, data, cluster_range=(2, 3), finetune_epochs=2, seed=0)
     assert [p.parameters["n_clusters"] for p in points] == [2, 3]
 
+
+
+@pytest.mark.parametrize(
+    "technique, module",
+    [
+        ("quantization", quantization_sweep_module),
+        ("pruning", pruning_sweep_module),
+        ("clustering", clustering_sweep_module),
+    ],
+)
+def test_sweep_reports_equal_full_netlist_reports(prepared_pipeline, monkeypatch, technique, module):
+    """The sweeps' cost-only reports are the full netlist path's, field by field."""
+    pairs = []
+
+    def both_paths(model, config=None, tech=None, name="bespoke_mlp"):
+        fast = synthesize_cost_only(model, config=config, tech=tech, name=name)
+        pairs.append((fast, synthesize(model, config=config, tech=tech, name=name)))
+        return fast
+
+    monkeypatch.setattr(module, "synthesize_cost_only", both_paths)
+    points = prepared_pipeline.run_technique(technique)
+    assert len(pairs) == len(points) > 0
+    for point, (fast, full) in zip(points, pairs):
+        assert point.report is fast
+        assert fast == full
+        assert fast.as_dict() == full.as_dict()
+        assert [fast.area.hex(), fast.power.hex(), fast.delay.hex()] == [
+            full.area.hex(),
+            full.power.hex(),
+            full.delay.hex(),
+        ]

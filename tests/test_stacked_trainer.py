@@ -22,7 +22,7 @@ from repro.nn.stacked import (
     predict_stacked,
     supports_stacking,
 )
-from repro.nn.trainer import TrainerConfig, finetune
+from repro.nn.trainer import Trainer, TrainerConfig, finetune
 from repro.pruning.magnitude import prune_by_magnitude
 from repro.quantization.qat import attach_quantizers
 
@@ -241,3 +241,94 @@ class TestTrainerConfigInteractions:
         trainer = StackedTrainer(stacked, 0.003, config=config, seeds=seeds)
         stacked_hist = trainer.fit(x, y, xv, yv)
         _assert_identical(serial, stacked, serial_hist, stacked_hist)
+
+
+class TestDeferredTrainAccuracy:
+    """Train accuracy nobody monitors is computed on the histories' first read."""
+
+    EPOCHS = 6
+    SEEDS = [21, 22, 23, 24, 25]
+
+    @staticmethod
+    def _count_train_forwards(monkeypatch, n_train):
+        calls = []
+        forward = StackedTrainer._forward
+
+        def counting(self, features, views):
+            if features.shape[0] == n_train:
+                calls.append(features.shape)
+            return forward(self, features, views)
+
+        monkeypatch.setattr(StackedTrainer, "_forward", counting)
+        return calls
+
+    def _serial(self, x, y, xv, yv, config):
+        models = _population()
+        histories = [
+            Trainer(m, optimizer=Adam(learning_rate=0.003), config=config, seed=s).fit(x, y, xv, yv)
+            for m, s in zip(models, self.SEEDS)
+        ]
+        return models, histories
+
+    def _stacked(self, x, y, xv, yv, config):
+        models = _population()
+        trainer = StackedTrainer(models, 0.003, config=config, seeds=self.SEEDS)
+        return models, trainer.fit(x, y, xv, yv)
+
+    def test_validation_split_defers_until_read(self, rng, monkeypatch):
+        x, y = _problem(rng)
+        xv, yv = _problem(rng, n=70)
+        config = TrainerConfig(epochs=self.EPOCHS, early_stopping_patience=2)
+        serial_models, serial_hist = self._serial(x, y, xv, yv, config)
+        calls = self._count_train_forwards(monkeypatch, x.shape[0])
+        stacked_models, stacked_hist = self._stacked(x, y, xv, yv, config)
+        assert calls == []
+        epochs = max(history.epochs_run for history in stacked_hist)
+
+        # Neither the models nor the caller's x_train reach the pending record.
+        for model in stacked_models:
+            for layer in model.dense_layers:
+                layer.weights = np.zeros_like(layer.weights)
+        x[:] = 0.0
+
+        assert len(stacked_hist[2].train_accuracy) == stacked_hist[2].epochs_run
+        assert len(calls) == epochs  # one batched forward per recorded epoch
+        for serial, stacked in zip(serial_hist, stacked_hist):
+            assert [v.hex() for v in stacked.train_accuracy] == [
+                v.hex() for v in serial.train_accuracy
+            ]
+            assert stacked.train_accuracy[-1] == serial.train_accuracy[-1]
+            assert stacked == serial
+            assert stacked.as_dict() == serial.as_dict()
+        assert len(calls) == epochs  # the first read computed every history
+
+    def test_comparison_and_as_dict_resolve_pending_values(self, rng):
+        x, y = _problem(rng)
+        xv, yv = _problem(rng, n=70)
+        config = TrainerConfig(epochs=3, early_stopping_patience=None)
+        _, serial_hist = self._serial(x, y, xv, yv, config)
+        _, stacked_hist = self._stacked(x, y, xv, yv, config)
+        assert stacked_hist[0] == serial_hist[0]
+        assert stacked_hist[1].as_dict() == serial_hist[1].as_dict()
+        assert repr(stacked_hist[2]) == repr(serial_hist[2])
+
+    def test_val_loss_monitor_without_validation_defers(self, rng, monkeypatch):
+        x, y = _problem(rng)
+        config = TrainerConfig(epochs=self.EPOCHS, early_stopping_patience=2, monitor="val_loss")
+        serial_models, serial_hist = self._serial(x, y, None, None, config)
+        calls = self._count_train_forwards(monkeypatch, x.shape[0])
+        stacked_models, stacked_hist = self._stacked(x, y, None, None, config)
+        assert calls == []
+        _assert_identical(serial_models, stacked_models, serial_hist, stacked_hist)
+        assert calls
+
+    def test_train_accuracy_monitor_stays_eager(self, rng, monkeypatch):
+        x, y = _problem(rng)
+        config = TrainerConfig(epochs=self.EPOCHS, early_stopping_patience=2)
+        serial_models, serial_hist = self._serial(x, y, None, None, config)
+        calls = self._count_train_forwards(monkeypatch, x.shape[0])
+        stacked_models, stacked_hist = self._stacked(x, y, None, None, config)
+        epochs = max(history.epochs_run for history in stacked_hist)
+        assert len(calls) == epochs
+        _assert_identical(serial_models, stacked_models, serial_hist, stacked_hist)
+        assert len(calls) == epochs
