@@ -138,7 +138,7 @@ def derive_layer_spec(
     bias = layer.effective_bias() if layer.use_bias else np.zeros(layer.n_outputs)
     input_lsb = 1.0 / ((1 << input_bits) - 1)
     bias_scale = fmt.scale * input_lsb
-    int_bias = np.rint(bias / bias_scale).astype(np.int64)
+    int_bias = np.round(bias / bias_scale).astype(np.int64)
     spec = LayerCircuitSpec(
         weights=int_weights,
         biases=int_bias,

@@ -22,14 +22,12 @@ import numpy as np
 
 from ..hardware.arithmetic import (
     adder_tree_from_widths,
-    adder_trees_from_sorted_widths,
     constant_multiplier,
     multiplier_costs,
     neuron_output_width,
     relu_unit,
 )
 from ..hardware.cost import HardwareCost, sum_gate_counts
-from ..hardware.csd import coefficient_bit_length
 from ..hardware.technology import TechnologyLibrary
 from .netlist import CircuitComponent
 
@@ -92,60 +90,56 @@ class LayerCircuitResult:
     n_shared_products: int
 
 
-def _integer_bit_lengths(magnitudes: np.ndarray) -> np.ndarray:
-    """Vectorized ``int.bit_length`` over an array of non-negative integers.
-
-    ``frexp`` decomposes ``m = mantissa * 2**exponent`` with mantissa in
-    ``[0.5, 1)``, so the exponent *is* the bit length for positive integers
-    (and 0 for zero) — exact for every value below 2**53, far beyond any
-    hard-wired coefficient.
-    """
-    return np.frexp(magnitudes.astype(np.float64))[1]
-
-
 def _layer_mult_plan(
     spec: LayerCircuitSpec, weights: np.ndarray
-) -> Tuple[List[Tuple[int, np.ndarray, np.ndarray]], int]:
-    """Per-input multiplier instantiation plan: (input_index, magnitudes, fanouts).
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The layer's multipliers in instantiation order, and the shared-product count.
 
-    The magnitudes honor the sharing convention of the original per-weight
-    loop: with ``share_products`` they are the sorted distinct non-zero
-    |coefficients| of the row (``np.unique``), otherwise every non-zero
-    |coefficient| in row order.
+    Returns parallel arrays ``(input_index, magnitude, fanout)``, input
+    position by input position. With ``share_products`` a position gets its
+    distinct non-zero |coefficients| in ascending order (one row-wise
+    ``np.sort`` for the whole layer), each feeding as many weights as share
+    it; otherwise every non-zero |coefficient| in row order, fanout 1.
     """
-    abs_w = np.abs(weights)
-    plan: List[Tuple[int, np.ndarray, np.ndarray]] = []
-    n_shared = 0
-    for input_index in range(spec.n_inputs):
-        row_nz = abs_w[input_index][abs_w[input_index] != 0]
-        if row_nz.size == 0:
-            continue
-        if spec.share_products:
-            magnitudes, fanouts = np.unique(row_nz, return_counts=True)
-            n_shared += int(row_nz.size - magnitudes.size)
-        else:
-            magnitudes = row_nz
-            fanouts = np.ones(row_nz.size, dtype=np.int64)
-        plan.append((input_index, magnitudes, fanouts))
-    return plan, n_shared
+    magnitudes = np.abs(weights)
+    if spec.share_products:
+        ordered = np.sort(magnitudes, axis=1)
+        first = ordered != 0
+        first[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
+        inputs, columns = np.nonzero(first)
+        coefficients = ordered[inputs, columns]
+        # A run of equal magnitudes ends where the row's next run starts, or
+        # at the end of the row.
+        width = ordered.shape[1]
+        starts = inputs * width + columns
+        ends = np.minimum(np.append(starts[1:], first.size), (inputs + 1) * width)
+        fanouts = ends - starts
+    else:
+        inputs, columns = np.nonzero(magnitudes)
+        coefficients = magnitudes[inputs, columns]
+        fanouts = np.ones(coefficients.size, dtype=np.int64)
+    n_shared = int(np.count_nonzero(magnitudes)) - int(coefficients.size)
+    return inputs, coefficients, fanouts, n_shared
 
 
 def _neuron_operand_widths(
     spec: LayerCircuitSpec, weights: np.ndarray, biases: np.ndarray
 ) -> List[List[int]]:
-    """Adder-tree operand widths per neuron (vectorized over the weight matrix)."""
-    nonzero = weights != 0
-    widths_matrix = spec.input_bits + _integer_bit_lengths(np.abs(weights))
+    """Adder-tree operand widths per neuron, in ascending order.
+
+    One operand per non-zero weight (``input_bits`` plus the coefficient's
+    bit length) and one for a non-zero bias (its bit length, clamped to
+    ``input_bits + weight_bits``, at least 1).
+    """
+    input_bits = spec.input_bits
+    bias_cap = spec.input_bits + spec.weight_bits
     per_neuron: List[List[int]] = []
-    for neuron_index in range(spec.n_neurons):
-        operand_widths = widths_matrix[:, neuron_index][nonzero[:, neuron_index]].tolist()
-        if biases[neuron_index] != 0:
-            bias_width = min(
-                coefficient_bit_length(int(biases[neuron_index])),
-                spec.input_bits + spec.weight_bits,
-            )
-            operand_widths.append(max(bias_width, 1))
-        per_neuron.append(operand_widths)
+    for column, bias in zip(weights.T.tolist(), biases.tolist()):
+        widths = [input_bits + abs(weight).bit_length() for weight in column if weight]
+        if bias:
+            widths.append(max(min(abs(bias).bit_length(), bias_cap), 1))
+        widths.sort()
+        per_neuron.append(widths)
     return per_neuron
 
 
@@ -167,27 +161,28 @@ def build_layer_circuit(
     n_multipliers = 0
 
     # --- multipliers, organised per input position so products can be shared ---
-    plan, n_shared = _layer_mult_plan(spec, weights)
-    for input_index, magnitudes, fanouts in plan:
-        for mult_index, (magnitude, fanout) in enumerate(zip(magnitudes, fanouts)):
-            magnitude = int(magnitude)
-            cost = constant_multiplier(
-                magnitude, spec.input_bits, tech, method=spec.multiplier_method
+    inputs, coefficients, fanouts, n_shared = _layer_mult_plan(spec, weights)
+    positions = np.arange(inputs.size) - np.searchsorted(inputs, inputs)
+    for input_index, mult_index, magnitude, fanout in zip(
+        inputs.tolist(), positions.tolist(), coefficients.tolist(), fanouts.tolist()
+    ):
+        cost = constant_multiplier(
+            magnitude, spec.input_bits, tech, method=spec.multiplier_method
+        )
+        components.append(
+            CircuitComponent(
+                name=f"{prefix}/in{input_index}/mult{mult_index}",
+                kind="multiplier",
+                cost=cost,
+                layer_index=layer_index,
+                attributes={
+                    "coefficient": magnitude,
+                    "input_position": input_index,
+                    "fanout": fanout,
+                },
             )
-            components.append(
-                CircuitComponent(
-                    name=f"{prefix}/in{input_index}/mult{mult_index}",
-                    kind="multiplier",
-                    cost=cost,
-                    layer_index=layer_index,
-                    attributes={
-                        "coefficient": magnitude,
-                        "input_position": input_index,
-                        "fanout": int(fanout),
-                    },
-                )
-            )
-            n_multipliers += 1
+        )
+        n_multipliers += 1
 
     # --- per-neuron adder trees and activations --------------------------------
     max_operands = 0
@@ -196,9 +191,7 @@ def build_layer_circuit(
     ):
         n_operands = len(operand_widths)
         max_operands = max(max_operands, n_operands)
-        tree_cost = adder_tree_from_widths(operand_widths, tech) if operand_widths else (
-            adder_tree_from_widths([1], tech)
-        )
+        tree_cost = adder_tree_from_widths(operand_widths or [1], tech)
         components.append(
             CircuitComponent(
                 name=f"{prefix}/neuron{neuron_index}/sum",
@@ -276,41 +269,24 @@ class LayerCosts:
 def accumulate_layer_costs(spec: LayerCircuitSpec, tech: TechnologyLibrary) -> LayerCosts:
     """Cost-only twin of :func:`build_layer_circuit`.
 
-    The multipliers come out of one row-wise ``np.sort`` of ``|weights|``:
-    the distinct non-zero magnitudes of each row in ascending order (what
-    the per-row ``np.unique`` of the netlist path yields) or, without
-    product sharing, every non-zero magnitude in row order; their costs are
-    one :func:`~repro.hardware.arithmetic.multiplier_costs` gather. Each
+    The multipliers are :func:`build_layer_circuit`'s, their costs one
+    :func:`~repro.hardware.arithmetic.multiplier_costs` gather; each
     neuron's adder tree is looked up by its sorted operand widths. Used by
     :func:`~repro.bespoke.synthesis.synthesize_cost_only`, where only the
     aggregate synthesis report matters.
     """
     weights = np.asarray(spec.weights, dtype=np.int64)
-    magnitudes = np.abs(weights)
-    if spec.share_products:
-        ordered = np.sort(magnitudes, axis=1)
-        first = ordered != 0
-        first[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
-        coefficients = ordered[first]
-    else:
-        coefficients = magnitudes[magnitudes != 0]
+    biases = np.asarray(spec.biases, dtype=np.int64)
+    _, coefficients, _, n_shared = _layer_mult_plan(spec, weights)
     areas, powers, delays, adders = multiplier_costs(
         coefficients, spec.input_bits, tech, spec.multiplier_method
     ).T.tolist()
     full_adders = int(sum(adders))
     multiplier_gates = {"FA": full_adders} if full_adders else {}
 
-    # Operand widths per neuron, as _neuron_operand_widths gives them, sorted.
     input_bits = spec.input_bits
-    bias_cap = spec.input_bits + spec.weight_bits
-    operands = []
-    for column, bias in zip(weights.T.tolist(), np.asarray(spec.biases).tolist()):
-        widths = [input_bits + abs(weight).bit_length() for weight in column if weight]
-        if bias:
-            widths.append(max(min(abs(bias).bit_length(), bias_cap), 1))
-        widths.sort()
-        operands.append(widths)
-    trees = adder_trees_from_sorted_widths(operands, tech)
+    operands = _neuron_operand_widths(spec, weights, biases)
+    trees = [adder_tree_from_widths(widths or [1], tech) for widths in operands]
     blocks = trees
     activations: List[HardwareCost] = []
     if spec.relu:
@@ -342,7 +318,7 @@ def accumulate_layer_costs(spec: LayerCircuitSpec, tech: TechnologyLibrary) -> L
         relu=spec.relu,
         output_bits=neuron_output_width(input_bits, spec.weight_bits, max(max_operands, 1)),
         n_multipliers=int(coefficients.size),
-        n_shared_products=int(np.count_nonzero(magnitudes)) - int(coefficients.size),
+        n_shared_products=n_shared,
     )
 
 

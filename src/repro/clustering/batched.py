@@ -16,7 +16,7 @@ Lloyd's algorithm on all of them as ``(P, N)`` padded arrays and reproduces
   ``random()`` per D² sample), so they are drawn once per ``(seed, n)``,
   and ``Generator.choice``'s own arithmetic (numpy-order total,
   ``cumsum`` of the probabilities, ``searchsorted``) runs on all problems
-  at once. Unseeded problems keep the oracle's per-problem loop.
+  at once. An unseeded problem draws from its own fresh generator.
 * Assignment is an ``argmin`` over ``|value - centroid|``: a tie goes to
   the lower centroid index, and padding centroids sit at ``+inf``.
 * Centroid sums replay numpy's summation order. A cluster of fewer than 8
@@ -42,7 +42,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kmeans import MAX_ITERATIONS, TOLERANCE, _kmeans_plus_plus_init
+from .kmeans import MAX_ITERATIONS, TOLERANCE
 
 #: Accumulator lanes of numpy's pairwise float summation.
 _LANES = 8
@@ -176,29 +176,8 @@ def _seed_plus_plus(
     problem of one seed and size draws the same numbers: ``integers(n)``
     for the first centroid, then one ``random()`` per D² sample (what
     ``Generator.choice`` with ``p`` consumes). Those draws are made once
-    per ``(seed, n)`` and the sampling runs on all problems at once. An
-    unseeded problem draws from its own fresh generator, one at a time.
-    """
-    seeded = [problem for problem in problems if seeds[problem] is not None]
-    for problem in problems:
-        if seeds[problem] is None:
-            count = int(k[problem])
-            centroids[problem, :count] = _kmeans_plus_plus_init(
-                values[problem, : sizes[problem]], count, np.random.default_rng()
-            )
-    if seeded:
-        _replay_plus_plus(centroids, values, sizes, k, seeds, np.array(seeded))
-
-
-def _replay_plus_plus(
-    centroids: np.ndarray,
-    values: np.ndarray,
-    sizes: np.ndarray,
-    k: np.ndarray,
-    seeds: Sequence[Optional[int]],
-    problems: np.ndarray,
-) -> None:
-    """:func:`_seed_plus_plus` for seeded problems, vectorized across them.
+    per ``(seed, n)``; an unseeded problem draws from its own fresh
+    generator. The sampling then runs on all problems at once.
 
     Each D² step is ``Generator.choice``'s own arithmetic on every problem
     still sampling: the total is numpy's sum of the squared distances
@@ -208,16 +187,22 @@ def _replay_plus_plus(
     ``<= u``. A zero total fills the remaining centroids with the first
     one and ends that problem, as in ``_kmeans_plus_plus_init``.
     """
+    if not problems.size:
+        return
     counts = k[problems]
     n = sizes[problems]
     starts = np.empty(problems.size, dtype=np.intp)
     uniforms = np.zeros((problems.size, int(counts.max()) - 1))
     groups: dict = {}
-    for row, problem in enumerate(problems.tolist()):
-        groups.setdefault((seeds[problem], int(sizes[problem])), []).append(row)
+    for row, (seed, size) in enumerate(zip([seeds[p] for p in problems], n.tolist())):
+        # An unseeded problem is a group of its own.
+        groups.setdefault((seed, size) if seed is not None else (None, row), []).append(row)
     generators: dict = {}
-    for (seed, size), rows in groups.items():
-        if seed in generators:
+    for (seed, _), rows in groups.items():
+        size = int(n[rows[0]])
+        if seed is None:
+            rng = np.random.default_rng()
+        elif seed in generators:
             rng, state = generators[seed]
             rng.bit_generator.state = state
         else:

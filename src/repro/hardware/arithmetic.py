@@ -15,11 +15,11 @@ All block costs are pure functions of their arguments, and the search inner
 loop asks for the same small domain over and over (coefficients below
 ``2**weight_bits``, a handful of operand-width multisets per layer), so the
 heavyweight entry points — :func:`constant_multiplier`,
-:func:`adder_tree_from_widths`, :func:`relu_unit`, :func:`argmax_unit` —
-are memoized on ``(arguments, tech.cache_key)``, and
-:func:`multiplier_costs` lays the multiplier memo out as an array. The
-memoized values are frozen :class:`HardwareCost` instances shared between
-callers; they are built by the same float operations as the original serial folds, so cached and
+:func:`adder_tree_from_widths`, :func:`argmax_unit` — are memoized on
+``(arguments, tech.cache_key)``, and :func:`multiplier_costs` lays the
+multiplier memo out as an array. The memoized values are frozen
+:class:`HardwareCost` instances shared between callers; they are built by
+the same float operations as the original serial folds, so cached and
 uncached results are bit-identical (asserted by the property tests in
 ``tests/test_perf_fastpaths.py``).
 """
@@ -44,7 +44,6 @@ _RIPPLE_CACHE: Dict[Tuple, HardwareCost] = {}
 _MULT_CACHE: Dict[Tuple, HardwareCost] = {}
 _TREE_CACHE: Dict[Tuple, HardwareCost] = {}
 _ARGMAX_CACHE: Dict[Tuple, HardwareCost] = {}
-_RELU_CACHE: Dict[Tuple, HardwareCost] = {}
 _MULT_TABLES: Dict[Tuple, np.ndarray] = {}
 
 
@@ -54,7 +53,6 @@ def clear_cost_caches() -> None:
     _MULT_CACHE.clear()
     _TREE_CACHE.clear()
     _ARGMAX_CACHE.clear()
-    _RELU_CACHE.clear()
     _MULT_TABLES.clear()
 
 
@@ -263,6 +261,10 @@ def adder_tree_from_widths(
     the sorted width multiset, which repeats heavily across the neurons of a
     layer and across genomes.
     """
+    # Rows that arrive sorted are their own memo key: a hit skips the sort.
+    cached = _TREE_CACHE.get((tuple(operand_widths), tech.cache_key))
+    if cached is not None:
+        return cached
     widths = sorted(int(w) for w in operand_widths)
     if any(w <= 0 for w in widths):
         raise ValueError("operand widths must be positive")
@@ -302,40 +304,16 @@ def adder_tree_from_widths(
     return cost
 
 
-def adder_trees_from_sorted_widths(
-    rows: Iterable[List[int]], tech: TechnologyLibrary
-) -> List[HardwareCost]:
-    """:func:`adder_tree_from_widths` of each row of ascending positive widths.
-
-    A row that is already sorted is its own memo key, so a hit costs one
-    dict lookup; misses and rows of fewer than two operands go through
-    :func:`adder_tree_from_widths` (an empty row costs as ``[1]``).
-    """
-    cache_key = tech.cache_key
-    trees = []
-    for row in rows:
-        cost = _TREE_CACHE.get((tuple(row), cache_key)) if len(row) > 1 else None
-        trees.append(cost if cost is not None else adder_tree_from_widths(row or [1], tech))
-    return trees
-
-
 def relu_unit(width: int, tech: TechnologyLibrary) -> HardwareCost:
     """ReLU on a two's-complement value: sign bit gates the output bus.
 
-    One inverter for the sign bit plus one AND gate per data bit. Memoized
-    on ``(width, tech.cache_key)``.
+    One inverter for the sign bit plus one AND gate per data bit.
     """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    key = (int(width), tech.cache_key)
-    cached = _RELU_CACHE.get(key)
-    if cached is not None:
-        return cached
     sign = tech.cost("INV", 1)
     gates = tech.cost("AND2", width)
-    cost = sign.serial(gates)
-    _RELU_CACHE[key] = cost
-    return cost
+    return sign.serial(gates)
 
 
 def comparator(width: int, tech: TechnologyLibrary) -> HardwareCost:

@@ -45,17 +45,10 @@ class FixedPointFormat:
         return max_symmetric_level(self.bits)
 
     def to_integers(self, weights: np.ndarray) -> np.ndarray:
-        """Map float weights to clipped integer levels.
-
-        ``rint`` then ``maximum``/``minimum`` in place: elementwise the same
-        as ``np.round`` and ``np.clip``, without their dispatch wrappers.
-        """
+        """Map float weights to clipped integer levels."""
         weights = np.asarray(weights, dtype=np.float64)
-        levels = np.rint(weights / self.scale)
-        max_level = self.max_level
-        np.maximum(levels, -max_level, out=levels)
-        np.minimum(levels, max_level, out=levels)
-        return levels.astype(np.int64)
+        levels = np.round(weights / self.scale)
+        return np.clip(levels, -self.max_level, self.max_level).astype(np.int64)
 
     def to_floats(self, integers: np.ndarray) -> np.ndarray:
         """Map integer levels back to their float values."""
