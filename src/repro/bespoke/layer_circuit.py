@@ -105,15 +105,14 @@ def _layer_mult_plan(
     if spec.share_products:
         ordered = np.sort(magnitudes, axis=1)
         first = ordered != 0
+        last = first.copy()
         first[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
-        inputs, columns = np.nonzero(first)
-        coefficients = ordered[inputs, columns]
-        # A run of equal magnitudes ends where the row's next run starts, or
-        # at the end of the row.
-        width = ordered.shape[1]
-        starts = inputs * width + columns
-        ends = np.minimum(np.append(starts[1:], first.size), (inputs + 1) * width)
-        fanouts = ends - starts
+        last[:, :-1] &= ordered[:, :-1] != ordered[:, 1:]
+        # Each run of equal non-zero magnitudes has one first and one last entry.
+        starts = np.flatnonzero(first)
+        inputs = starts // ordered.shape[1]
+        coefficients = ordered.ravel()[starts]
+        fanouts = np.flatnonzero(last) - starts + 1
     else:
         inputs, columns = np.nonzero(magnitudes)
         coefficients = magnitudes[inputs, columns]

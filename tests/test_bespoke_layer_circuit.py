@@ -78,6 +78,37 @@ class TestMultiplierGeneration:
         multipliers = [c for c in result.components if c.kind == "multiplier"]
         assert multipliers[0].attributes["fanout"] == 3
 
+    @pytest.mark.parametrize("share_products", [True, False])
+    def test_multiplier_plan_matches_per_row_unique(self, share_products):
+        # The row-wise sort's runs give what a per-row np.unique gives:
+        # names, coefficients, input positions and fanouts, in order.
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            shape = tuple(rng.integers(1, 7, size=2))
+            weights = rng.integers(-4, 5, size=shape) * (rng.random(shape) < 0.7)
+            weights[rng.integers(shape[0])] = 0
+            result = build_layer_circuit(
+                make_spec(weights, share_products=share_products), TECH, 0
+            )
+            expected = []
+            for row_index, row in enumerate(np.abs(weights)):
+                row_nz = row[row != 0]
+                if share_products:
+                    magnitudes, fanouts = np.unique(row_nz, return_counts=True)
+                else:
+                    magnitudes, fanouts = row_nz, np.ones(row_nz.size, dtype=int)
+                for index, (magnitude, fanout) in enumerate(zip(magnitudes, fanouts)):
+                    expected.append((
+                        f"layer0/in{row_index}/mult{index}",
+                        {"coefficient": int(magnitude), "input_position": row_index,
+                         "fanout": int(fanout)},
+                    ))
+            multipliers = [
+                (c.name, c.attributes) for c in result.components if c.kind == "multiplier"
+            ]
+            assert multipliers == expected
+            assert result.n_shared_products == np.count_nonzero(weights) - len(expected)
+
     def test_distinct_products_per_input_helper(self):
         weights = np.array([[5, -5, 3], [0, 0, 0], [2, 4, 8]])
         assert distinct_products_per_input(weights) == [2, 0, 3]
