@@ -39,8 +39,11 @@ from .cache import (
     JournalRecord,
     PersistentEvaluationCache,
     SimulatedCrash,
+    baseline_key,
     evaluation_context_key,
+    load_baseline,
     load_journal_records,
+    save_baseline,
 )
 from .columnar import ColumnarFront, load_front_npz, write_front_npz
 from .fabric import (
@@ -100,6 +103,7 @@ __all__ = [
     "SearchSpec",
     "SimulatedCrash",
     "WorkerRunSummary",
+    "baseline_key",
     "build_report",
     "campaign_status",
     "collect_fronts",
@@ -107,6 +111,7 @@ __all__ = [
     "execute_job",
     "format_report",
     "format_status",
+    "load_baseline",
     "load_front_npz",
     "load_journal_records",
     "load_spec",
@@ -114,6 +119,7 @@ __all__ = [
     "parse_shard",
     "persist_spec",
     "read_json",
+    "save_baseline",
     "select_shard",
     "write_front_npz",
     "write_json_atomic",

@@ -25,6 +25,13 @@ The shard format is one JSON object per line (``{"genome": ..., "point":
 :func:`load_journal_records` exposes the same tolerant reader as a public
 API (the surrogate trainer consumes it); records written before the
 schema-version field existed load as version 0.
+
+The trained float baseline is persisted next to the shards as
+``baseline-<key>.npz`` (:func:`save_baseline` / :func:`load_baseline`): it is
+a pure function of the :class:`~repro.core.config.PipelineConfig`, keyed by
+:func:`baseline_key`, so every job of a campaign with that configuration —
+in this process, a pool worker, a fabric worker or a later resume — loads it
+instead of training it again. The shard readers only look at ``*.jsonl``.
 """
 
 from __future__ import annotations
@@ -32,15 +39,19 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, List, Optional, Union
+from typing import IO, Dict, List, Optional, Tuple, Union
 
 from ..core.config import PipelineConfig
 from ..core.results import DesignPoint
+from ..nn.network import MLP
+from ..nn.serialization import load_model, write_model
 from ..search.evaluator import EvaluationCache
 from ..search.genome import Genome
 from ..search.settings import EvaluationSettings
+from .journal import write_atomic
 
 #: Version stamped on every journal record written by this build. Bump when
 #: the record layout changes incompatibly; the reader accepts every version
@@ -57,6 +68,36 @@ class SimulatedCrash(RuntimeError):
     """
 
 
+def _pipeline_payload(config: PipelineConfig) -> Dict[str, object]:
+    """The part of a pipeline configuration that cached results depend on.
+
+    Surrogate-search knobs are excluded on purpose: they steer *which*
+    genomes get evaluated, never what an evaluation returns (nor the trained
+    baseline), so surrogate-assisted and plain searches share one context
+    and one baseline — the surrogate trainer feeds on exactly the records
+    the plain search produced (and keys stay stable across builds that
+    added the knobs).
+    """
+    pipeline = asdict(config)
+    for search_only_knob in (
+        "surrogate",
+        "surrogate_candidates",
+        "surrogate_prefilter",
+        "halving_budgets",
+    ):
+        pipeline.pop(search_only_knob, None)
+    # Earlier builds had an array-backend knob; the payload keeps the value
+    # they hashed (the unset knob) so their cache shards still match.
+    pipeline["backend"] = None
+    return pipeline
+
+
+def _digest(payload: Dict[str, object]) -> str:
+    """16-hex-digit digest of a canonical JSON payload."""
+    canonical = json.dumps(payload, sort_keys=True, default=list)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
 def evaluation_context_key(
     config: PipelineConfig,
     settings: Optional[EvaluationSettings],
@@ -70,35 +111,65 @@ def evaluation_context_key(
     derived seed of ``(base seed, genome)``. Hashing ``(config, settings,
     base seed)`` therefore identifies exactly the set of evaluations that
     may be shared. Returns a 16-hex-digit digest used as the shard filename.
-
-    Surrogate-search knobs are excluded on purpose: they steer *which*
-    genomes get evaluated, never what an evaluation returns, so
-    surrogate-assisted and plain searches share one context — the surrogate
-    trainer feeds on exactly the records the plain search produced (and
-    context keys stay stable across builds that added the knobs).
     """
     settings = settings if settings is not None else EvaluationSettings()
-    pipeline = asdict(config)
-    for search_only_knob in (
-        "surrogate",
-        "surrogate_candidates",
-        "surrogate_prefilter",
-        "halving_budgets",
-    ):
-        pipeline.pop(search_only_knob, None)
     evaluation = asdict(settings)
-    # Earlier builds had an array-backend knob on both configs; the payload
-    # keeps the values they hashed (the pipeline's unset knob, the resolved
-    # settings' "numpy") so their cache shards and fabric workers still match.
-    pipeline["backend"] = None
+    # Earlier builds' resolved settings hashed the backend as "numpy".
     evaluation["backend"] = "numpy"
-    payload = {
-        "pipeline": pipeline,
-        "settings": evaluation,
-        "seed": None if seed is None else int(seed),
-    }
-    canonical = json.dumps(payload, sort_keys=True, default=list)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return _digest(
+        {
+            "pipeline": _pipeline_payload(config),
+            "settings": evaluation,
+            "seed": None if seed is None else int(seed),
+        }
+    )
+
+
+def baseline_key(config: PipelineConfig) -> str:
+    """Hash of the pipeline payload a trained float baseline depends on.
+
+    The same payload :func:`evaluation_context_key` hashes, so a stored
+    baseline is exactly as specific as the shards next to it: keyed by
+    configuration, not by code (delete ``cache/`` after changing training).
+    """
+    return _digest(_pipeline_payload(config))
+
+
+def baseline_path(cache_dir: Union[str, Path], key: str) -> Path:
+    """Where the baseline for ``key`` lives: ``<cache_dir>/baseline-<key>.npz``."""
+    return Path(cache_dir) / f"baseline-{key}.npz"
+
+
+def save_baseline(cache_dir: Union[str, Path], key: str, model: MLP) -> Path:
+    """Store a trained float baseline atomically (readers never see halves).
+
+    The file is :func:`repro.nn.serialization.write_model`'s npz layout —
+    architecture header, format version, weights and biases — whose bytes
+    depend on the model alone, so racing writers of one config leave the
+    same bytes behind.
+    """
+    return write_atomic(
+        baseline_path(cache_dir, key), lambda handle: write_model(model, handle)
+    )
+
+
+def load_baseline(cache_dir: Union[str, Path], key: str) -> Tuple[Optional[MLP], int]:
+    """Read the stored baseline for ``key``; never raises.
+
+    Returns ``(model, 0)`` for a readable file, ``(None, 0)`` when there is
+    none, and ``(None, 1)`` when the file exists but cannot be used (torn or
+    foreign bytes, a missing array, another format version): the caller
+    counts it as discarded, trains, and rewrites it. Whether the model's
+    architecture fits the configuration is the pipeline's check.
+    """
+    path = baseline_path(cache_dir, key)
+    if not path.exists():
+        return None, 0
+    try:
+        return load_model(path), 0
+    except (AttributeError, EOFError, KeyError, OSError, TypeError, ValueError,
+            zipfile.BadZipFile):
+        return None, 1
 
 
 @dataclass(frozen=True)

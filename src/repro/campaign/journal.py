@@ -6,6 +6,7 @@ A campaign directory looks like::
       spec.json            # the canonical spec this directory was built from
       manifest.jsonl       # append-only event log (started/completed/failed)
       cache/<context>.jsonl  # persistent per-genome evaluation records
+      cache/baseline-<key>.npz  # trained float baseline, one per pipeline config
       jobs/<job_id>/
         front.json         # deterministic artifact: baseline + Pareto front
         result.json        # stats (wall-clock, evaluation counts, history)

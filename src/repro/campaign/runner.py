@@ -34,7 +34,13 @@ from ..search.evaluator import EvaluationCache
 from ..search.exhaustive import grid_search, random_search
 from ..search.ga import GAConfig, HardwareAwareGA
 from ..search.settings import resolve_evaluation_settings
-from .cache import PersistentEvaluationCache, evaluation_context_key
+from .cache import (
+    PersistentEvaluationCache,
+    baseline_key,
+    evaluation_context_key,
+    load_baseline,
+    save_baseline,
+)
 from .fabric.retry import RetryPolicy
 from .journal import CampaignJournal, mark_campaign_completed, persist_spec
 from .spec import CampaignSpec, JobSpec, parse_shard, select_shard
@@ -95,11 +101,20 @@ def execute_job(
     function of its :class:`~repro.campaign.spec.JobSpec`, so re-executing a
     killed job (with or without warm cache shards) reproduces the same
     ``front.json`` bytes. Used directly by pool workers.
+
+    With ``use_cache`` the trained float baseline is shared through the
+    cache directory too: the first job of a configuration trains and stores
+    it, every later one (same process, another worker, a resume) loads it.
+    An unusable stored baseline is discarded, retrained and rewritten.
     """
     journal = CampaignJournal(directory)
     start = time.perf_counter()
     config = job.pipeline_config()
-    prepared = MinimizationPipeline(config).prepare()
+    baseline, baseline_discarded = None, 0
+    if use_cache:
+        stored_key = baseline_key(config)
+        baseline, baseline_discarded = load_baseline(journal.cache_dir(), stored_key)
+    prepared = MinimizationPipeline(config, baseline=baseline).prepare()
     params = job.search_params()
 
     ga_config: Optional[GAConfig] = None
@@ -120,6 +135,13 @@ def execute_job(
     cache: Optional[EvaluationCache] = None
     cache_stats: Dict[str, object] = {"enabled": bool(use_cache)}
     if use_cache:
+        if prepared.baseline_source == "trained":
+            # A stored baseline the pipeline would not take (foreign
+            # architecture) counts as discarded, like an unreadable one.
+            baseline_discarded += baseline is not None
+            save_baseline(journal.cache_dir(), stored_key, prepared.baseline_model)
+        cache_stats["baseline"] = prepared.baseline_source
+        cache_stats["baseline_discarded"] = baseline_discarded
         context_key = evaluation_context_key(config, settings, job.seed)
         factory = cache_factory if cache_factory is not None else _default_cache_factory
         # The spec's memory bound applies to the in-memory view of the

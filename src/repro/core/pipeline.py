@@ -21,6 +21,7 @@ from ..datasets.registry import get_classifier_spec, load_dataset, normalize_nam
 from ..datasets.base import train_val_test_split
 from ..hardware.technology import TechnologyLibrary, get_technology
 from ..nn.network import MLP, build_mlp
+from ..nn.serialization import model_architecture
 from ..nn.trainer import train_classifier
 from ..pruning.sweep import pruning_sweep
 from ..quantization.sweep import quantization_sweep
@@ -44,6 +45,9 @@ class PreparedPipeline:
     technology: TechnologyLibrary
     baseline_accuracy: float
     metadata: Dict[str, object] = field(default_factory=dict)
+    #: ``"loaded"`` when the float weights came from the ``baseline`` handed
+    #: to :class:`MinimizationPipeline`, ``"trained"`` when they were fitted.
+    baseline_source: str = "trained"
 
 
 class MinimizationPipeline:
@@ -57,10 +61,19 @@ class MinimizationPipeline:
 
     The prepared state (trained baseline, prepared data, baseline synthesis)
     is cached after the first call so repeated sweeps reuse it.
+
+    Args:
+        config: the per-dataset configuration.
+        baseline: a float baseline already trained for this ``config`` (a
+            campaign loads it from its cache directory). Its weights replace
+            training when its architecture equals the one :func:`build_mlp`
+            builds for the config; otherwise it is ignored and the baseline
+            is trained. ``prepared.baseline_source`` tells which happened.
     """
 
-    def __init__(self, config: PipelineConfig) -> None:
+    def __init__(self, config: PipelineConfig, baseline: Optional[MLP] = None) -> None:
         self.config = config
+        self.baseline = baseline
         self._prepared: Optional[PreparedPipeline] = None
 
     # -- preparation -------------------------------------------------------------
@@ -88,19 +101,26 @@ class MinimizationPipeline:
             dataset.n_classes,
             seed=config.seed,
         )
-        epochs = config.train_epochs if config.train_epochs is not None else spec.epochs
-        with profiling.stage("train_baseline"):
-            train_classifier(
-                model,
-                data.train.features,
-                data.train.labels,
-                data.validation.features,
-                data.validation.labels,
-                epochs=epochs,
-                batch_size=spec.batch_size,
-                learning_rate=spec.learning_rate,
-                seed=config.seed,
-            )
+        baseline_source = "trained"
+        if self.baseline is not None and model_architecture(
+            self.baseline
+        ) == model_architecture(model):
+            model.set_weights(self.baseline.get_weights())
+            baseline_source = "loaded"
+        else:
+            epochs = config.train_epochs if config.train_epochs is not None else spec.epochs
+            with profiling.stage("train_baseline"):
+                train_classifier(
+                    model,
+                    data.train.features,
+                    data.train.labels,
+                    data.validation.features,
+                    data.validation.labels,
+                    epochs=epochs,
+                    batch_size=spec.batch_size,
+                    learning_rate=spec.learning_rate,
+                    seed=config.seed,
+                )
         baseline_accuracy = model.evaluate_accuracy(data.test.features, data.test.labels)
 
         with profiling.stage("synthesize_baseline"):
@@ -138,6 +158,7 @@ class MinimizationPipeline:
                 "n_train": data.train.n_samples,
                 "n_test": data.test.n_samples,
             },
+            baseline_source=baseline_source,
         )
         return self._prepared
 

@@ -3,14 +3,16 @@
 Models are stored as a JSON header (topology, activations, hook metadata)
 plus the weight arrays, in a single ``.npz`` file. This is enough to round-
 trip the trained/minimized classifiers used by the experiments and to ship
-example artefacts without pickling arbitrary objects.
+example artefacts without pickling arbitrary objects. ``np.savez`` stamps
+every archive member with the zip epoch rather than the clock, so one model
+always serializes to the same bytes, and float64 arrays round-trip exactly.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import IO, Dict, List, Union
 
 import numpy as np
 
@@ -18,8 +20,16 @@ from .layers import ActivationLayer, Dense, Dropout
 from .network import MLP
 
 
-def _architecture(model: MLP) -> List[Dict[str, object]]:
-    """Describe the layer stack as JSON-serializable dictionaries."""
+#: Version written into every model header; :func:`load_model` rejects others.
+FORMAT_VERSION = 1
+
+
+def model_architecture(model: MLP) -> List[Dict[str, object]]:
+    """Describe the layer stack as JSON-serializable dictionaries.
+
+    This is the header :func:`save_model` stores; two models with equal
+    architectures accept each other's weights.
+    """
     arch: List[Dict[str, object]] = []
     for layer in model.layers:
         if isinstance(layer, Dense):
@@ -43,6 +53,29 @@ def _architecture(model: MLP) -> List[Dict[str, object]]:
     return arch
 
 
+def write_model(model: MLP, file: Union[str, Path, IO[bytes]]) -> None:
+    """Serialize ``model`` as an ``.npz`` archive to a path or open binary file.
+
+    The same model always yields the same bytes; callers that need atomic
+    replacement hand in a temp file.
+    """
+    arrays: Dict[str, np.ndarray] = {}
+    dense_index = 0
+    for layer in model.layers:
+        if isinstance(layer, Dense):
+            arrays[f"dense_{dense_index}_weights"] = layer.weights
+            arrays[f"dense_{dense_index}_bias"] = layer.bias
+            if layer.mask is not None:
+                arrays[f"dense_{dense_index}_mask"] = layer.mask
+            dense_index += 1
+
+    header = json.dumps(
+        {"format_version": FORMAT_VERSION, "architecture": model_architecture(model)}
+    )
+    arrays["__header__"] = np.frombuffer(header.encode("utf-8"), dtype=np.uint8)
+    np.savez(file, **arrays)
+
+
 def save_model(model: MLP, path: Union[str, Path]) -> Path:
     """Serialize ``model`` to ``path`` (``.npz`` appended if missing).
 
@@ -54,20 +87,7 @@ def save_model(model: MLP, path: Union[str, Path]) -> Path:
     if path.suffix != ".npz":
         path = path.with_suffix(".npz")
     path.parent.mkdir(parents=True, exist_ok=True)
-
-    arrays: Dict[str, np.ndarray] = {}
-    dense_index = 0
-    for layer in model.layers:
-        if isinstance(layer, Dense):
-            arrays[f"dense_{dense_index}_weights"] = layer.weights
-            arrays[f"dense_{dense_index}_bias"] = layer.bias
-            if layer.mask is not None:
-                arrays[f"dense_{dense_index}_mask"] = layer.mask
-            dense_index += 1
-
-    header = json.dumps({"format_version": 1, "architecture": _architecture(model)})
-    arrays["__header__"] = np.frombuffer(header.encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **arrays)
+    write_model(model, path)
     return path
 
 
@@ -79,7 +99,7 @@ def load_model(path: Union[str, Path]) -> MLP:
     with np.load(path) as data:
         header_bytes = bytes(data["__header__"].tobytes())
         header = json.loads(header_bytes.decode("utf-8"))
-        if header.get("format_version") != 1:
+        if header.get("format_version") != FORMAT_VERSION:
             raise ValueError(
                 f"Unsupported model format version: {header.get('format_version')}"
             )

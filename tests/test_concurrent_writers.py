@@ -4,7 +4,10 @@ Two threads rewriting the same path used to share one fixed temp name
 (``<name>.tmp`` for JSON, ``<stem>.tmp.npz`` for the columnar front): one
 writer's ``os.replace`` moved the other's half-written temp away, raising
 ``FileNotFoundError`` or publishing a file the other was still writing.
-Each write now goes through a temp file of its own.
+Each write now goes through a temp file of its own. A stored campaign
+baseline is raced the same way by workers that trained one configuration
+at once; its bytes depend on the model alone, so the survivor is exactly
+what one writer alone would have left.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from __future__ import annotations
 import json
 import threading
 
+from repro.campaign.cache import baseline_path, load_baseline, save_baseline
 from repro.campaign.columnar import front_npz_path, load_front_npz, write_front_npz
 from repro.campaign.journal import write_json_atomic
+from repro.nn.network import build_mlp
 
 
 def _hammer(write, n_writes: int, n_threads: int = 2) -> list:
@@ -66,3 +71,17 @@ def test_two_threads_rewriting_one_front_npz(tmp_path):
     assert _hammer(write, n_writes=100) == []
     assert load_front_npz(front_npz_path(json_path)) is not None
     assert sorted(p.name for p in tmp_path.iterdir()) == ["front_seeds.json", "front_seeds.npz"]
+
+
+def test_two_threads_writing_one_baseline(tmp_path):
+    model = build_mlp(7, (4,), 3, seed=0)
+    alone = save_baseline(tmp_path / "alone", "k", model).read_bytes()
+    shared = tmp_path / "shared"
+
+    def write(thread: int, index: int) -> None:
+        save_baseline(shared, "k", model)
+
+    assert _hammer(write, n_writes=100) == []
+    assert baseline_path(shared, "k").read_bytes() == alone
+    assert load_baseline(shared, "k")[1] == 0
+    assert [p.name for p in shared.iterdir()] == ["baseline-k.npz"]

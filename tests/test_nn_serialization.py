@@ -1,5 +1,7 @@
 """Unit tests for repro.nn.serialization (save/load round-trips)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,16 @@ class TestRoundTrip:
         model = MLP([Dense(3, 2, use_bias=False, rng=np.random.default_rng(0))])
         reloaded = load_model(save_model(model, tmp_path / "nobias.npz"))
         assert reloaded.dense_layers[0].use_bias is False
+
+    def test_same_model_same_bytes_and_exact_floats(self, model, tmp_path, monkeypatch):
+        first = save_model(model, tmp_path / "a.npz").read_bytes()
+        clock = time.time
+        monkeypatch.setattr(time, "time", lambda: clock() + 400 * 86400.0)
+        assert save_model(model, tmp_path / "b.npz").read_bytes() == first
+        reloaded = load_model(tmp_path / "a.npz")
+        for layer, original in zip(reloaded.dense_layers, model.dense_layers):
+            assert layer.weights.tobytes() == original.weights.tobytes()
+            assert layer.bias.tobytes() == original.bias.tobytes()
 
     def test_directories_created(self, model, tmp_path):
         path = save_model(model, tmp_path / "deep" / "nested" / "model.npz")
