@@ -123,12 +123,15 @@ def derive_layer_spec(
     input_bits: int,
     relu: bool,
     config: BespokeConfig,
-) -> "tuple[LayerCircuitSpec, FixedPointFormat]":
+) -> "tuple[LayerCircuitSpec, FixedPointFormat, int]":
     """Quantize one Dense layer's effective parameters into a circuit spec.
 
     Single source of truth for the float → hard-wired-integer mapping, shared
     by the full netlist construction (:func:`build_bespoke_circuit`) and the
     cost-only synthesis path (:func:`repro.bespoke.synthesis.synthesize_cost_only`).
+    Also returns the count of non-zero effective weights (before rounding,
+    which can zero a weight that is non-zero in float), so the cost-only
+    path reports :meth:`MLP.sparsity` without recomputing them.
     """
     effective = layer.effective_weights()
     fmt = derive_format(effective, weight_bits)
@@ -148,7 +151,7 @@ def derive_layer_spec(
         share_products=config.share_products,
         multiplier_method=config.multiplier_method,
     )
-    return spec, fmt
+    return spec, fmt, int(np.count_nonzero(effective))
 
 
 def build_bespoke_circuit(
@@ -192,7 +195,7 @@ def build_bespoke_circuit(
 
     for layer_index, (layer, relu) in enumerate(zip(dense_layers, relu_flags)):
         weight_bits = config.bits_for_layer(layer_index, len(dense_layers))
-        spec, fmt = derive_layer_spec(
+        spec, fmt, _active = derive_layer_spec(
             layer, weight_bits, current_input_bits, relu, config
         )
         result = build_layer_circuit(spec, tech, layer_index)

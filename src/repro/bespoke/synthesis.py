@@ -145,14 +145,16 @@ def synthesize_cost_only(
 
     layers: List[LayerCosts] = []
     current_input_bits = config.input_bits
+    n_active = 0
     for layer_index, (layer, relu) in enumerate(zip(dense_layers, relu_flags)):
-        spec, _fmt = derive_layer_spec(
+        spec, _fmt, active = derive_layer_spec(
             layer,
             config.bits_for_layer(layer_index, n_layers),
             current_input_bits,
             relu,
             config,
         )
+        n_active += active
         costs = accumulate_layer_costs(spec, tech)
         layers.append(costs)
         current_input_bits = costs.output_bits
@@ -234,13 +236,15 @@ def synthesize_cost_only(
         + [block.gate_counts for block in tail],
     )
 
+    # MLP.sparsity(), from the non-zero counts derive_layer_spec already took.
+    n_weights = model.n_connections()
     metadata = {
         "input_bits": config.input_bits,
         "weight_bits": [config.bits_for_layer(i, n_layers) for i in range(n_layers)],
         "share_products": config.share_products,
         "multiplier_method": config.multiplier_method,
         "topology": model.topology(),
-        "sparsity": model.sparsity(),
+        "sparsity": 1.0 - n_active / n_weights if n_weights else 0.0,
     }
     return SynthesisReport(
         circuit_name=name,

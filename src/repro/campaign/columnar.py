@@ -11,9 +11,10 @@ persists the end state of that work next to the JSON:
   NaN where a point lacks the optional robustness fields),
 * ``row_index`` (``int64``) pinning row order to the JSON document's
   ``front`` order,
-* ``technique`` and ``parameters_json`` unicode arrays so any single row
-  can be materialized back into a ``DesignPoint`` without touching the
-  JSON document,
+* ``rows`` — each front row's compact ``json.dumps`` as ASCII bytes, so
+  any window of rows decodes (or materializes into a ``DesignPoint``)
+  without touching the rest of the JSON document, and ``baseline`` —
+  the document's baseline entry as JSON,
 * ``pareto_index`` — the precomputed
   :func:`~repro.core.pareto.pareto_front_indices` of the front (front
   order), so the serving layer's default non-dominated view is a slice,
@@ -23,10 +24,11 @@ persists the end state of that work next to the JSON:
 The sha ties the npz to the exact JSON it was derived from: a reader that
 holds the JSON bytes validates the pair in O(1) and falls back to the
 JSON path on any mismatch (stale npz after a partial rewrite, torn file,
-foreign version). ``np.savez`` stores members uncompressed, so
-:func:`load_front_npz` maps the file once and exposes every column as a
-read-only zero-copy view over the mapping — no decode, no copy, no
-per-row Python.
+foreign version, including a version-1 file from before ``rows``).
+``np.savez`` stores members uncompressed, so :func:`load_front_npz` maps
+the file once and exposes every column as a read-only zero-copy view
+over the mapping — no decode, no copy, no per-row Python; a row's JSON
+is decoded only when that row is asked for.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import struct
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from ..core.results import DesignPoint
 from .journal import write_atomic
 
 #: Format version stamped into every npz; readers refuse anything else.
-COLUMNAR_VERSION = 1
+COLUMNAR_VERSION = 2
 
 #: The objective columns every front persists/materializes. Optional
 #: columns (``robust_accuracy``, ``accuracy_std``) hold NaN where a point
@@ -92,11 +94,14 @@ def front_npz_path(json_path: Union[str, Path]) -> Path:
     return Path(json_path).with_suffix(".npz")
 
 
-def _string_array(values: Sequence[str]) -> np.ndarray:
-    """A unicode array over ``values`` (typed even when empty)."""
-    if not values:
-        return np.array([], dtype="<U1")
-    return np.array(list(values), dtype=np.str_)
+def _row_array(entries: Sequence[object]) -> np.ndarray:
+    """Each entry's compact JSON as ASCII bytes (typed even when empty)."""
+    if not entries:
+        return np.array([], dtype="S1")
+    return np.array(
+        [json.dumps(entry, separators=(",", ":")).encode("ascii") for entry in entries],
+        dtype=np.bytes_,
+    )
 
 
 def write_front_npz(
@@ -129,10 +134,8 @@ def write_front_npz(
         "front_sha256": hashlib.sha256(raw).hexdigest(),
         "row_index": np.arange(len(points), dtype=np.int64),
         "robust": np.bool_(robust),
-        "technique": _string_array([p.technique for p in points]),
-        "parameters_json": _string_array(
-            [json.dumps(p.parameters, sort_keys=True) for p in points]
-        ),
+        "rows": _row_array(document["front"]),
+        "baseline": json.dumps(document.get("baseline")),
         "pareto_index": np.asarray(
             pareto_front_indices(points, robust=robust), dtype=np.int64
         ),
@@ -154,8 +157,8 @@ class ColumnarFront:
         n_rows: number of front rows.
         robust: whether every row carries ``robust_accuracy``.
         columns: read-only ``float64`` arrays per :data:`FRONT_COLUMNS`.
-        technique: unicode array of per-row technique names.
-        parameters_json: unicode array of canonical per-row parameter JSON.
+        rows: ``S`` array of each front row's compact JSON, in front order.
+        baseline: the document's decoded ``baseline`` entry.
         pareto_index: ``int64`` indices of the non-dominated subset, in
             front order.
     """
@@ -168,24 +171,21 @@ class ColumnarFront:
     n_rows: int
     robust: bool
     columns: Mapping[str, np.ndarray]
-    technique: np.ndarray
-    parameters_json: np.ndarray
+    rows: np.ndarray
+    baseline: object
     pareto_index: np.ndarray
 
+    def entries(self, start: int, stop: Optional[int]) -> List[object]:
+        """The decoded front rows ``[start:stop]`` — only those are decoded."""
+        return [json.loads(row) for row in self.rows[start:stop]]
+
     def point(self, row: int) -> DesignPoint:
-        """Materialize one front row back into a :class:`DesignPoint`."""
-        robust_accuracy = float(self.columns["robust_accuracy"][row])
-        accuracy_std = float(self.columns["accuracy_std"][row])
-        return DesignPoint(
-            technique=str(self.technique[row]),
-            accuracy=float(self.columns["accuracy"][row]),
-            area=float(self.columns["area"][row]),
-            power=float(self.columns["power"][row]),
-            delay=float(self.columns["delay"][row]),
-            parameters=json.loads(str(self.parameters_json[row])),
-            robust_accuracy=None if np.isnan(robust_accuracy) else robust_accuracy,
-            accuracy_std=None if np.isnan(accuracy_std) else accuracy_std,
-        )
+        """Materialize one front row back into a :class:`DesignPoint`.
+
+        The row decodes to the document's own entry, so this is the JSON
+        path's ``DesignPoint(**entry)``, integer-valued fields included.
+        """
+        return DesignPoint(**json.loads(self.rows[row]))
 
 
 def _mapped_members(path: Path) -> Dict[str, np.ndarray]:
@@ -273,9 +273,8 @@ def load_front_npz(
             if column.dtype != np.float64 or column.shape != (n_rows,):
                 return None
             columns[name] = column
-        technique = arrays["technique"]
-        parameters_json = arrays["parameters_json"]
-        if technique.shape != (n_rows,) or parameters_json.shape != (n_rows,):
+        rows = arrays["rows"]
+        if rows.dtype.kind != "S" or rows.shape != (n_rows,):
             return None
         pareto_index = arrays["pareto_index"]
         if pareto_index.dtype != np.int64 or pareto_index.ndim != 1:
@@ -293,8 +292,8 @@ def load_front_npz(
             n_rows=n_rows,
             robust=bool(arrays["robust"][()]),
             columns=columns,
-            technique=technique,
-            parameters_json=parameters_json,
+            rows=rows,
+            baseline=json.loads(str(arrays["baseline"][()])),
             pareto_index=pareto_index,
         )
     except Exception:  # noqa: BLE001 - any damage means "no columnar view"

@@ -413,8 +413,16 @@ class ServingHandler(BaseHTTPRequestHandler):
         except ValueError as error:
             self._send_json(400, {"error": "invalid pagination", "detail": str(error)})
             return 400
+        paginated = offset is not None or limit is not None
+        start = offset or 0
         try:
-            raw, fingerprint = self.server.store.front(dataset)
+            if paginated:
+                stop = None if limit is None else start + limit
+                (baseline, total, rows), fingerprint = self.server.store.page(
+                    dataset, start, stop
+                )
+            else:
+                raw, fingerprint = self.server.store.front(dataset)
         except UnknownDatasetError:
             self._miss(dataset)
             return 404
@@ -423,23 +431,18 @@ class ServingHandler(BaseHTTPRequestHandler):
             self._send_not_modified(etag)
             return 304
         headers = {"ETag": etag}
-        if offset is None and limit is None:
+        if not paginated:
             self._send(200, raw, headers=headers)
             return 200
-        document = json.loads(raw.decode("utf-8"))
-        front = document.get("front") if isinstance(document, dict) else None
-        rows = front if isinstance(front, list) else []
-        start = offset or 0
-        stop = None if limit is None else start + limit
         self._send_json(
             200,
             {
                 "dataset": dataset,
-                "baseline": document.get("baseline") if isinstance(document, dict) else None,
-                "total_points": len(rows),
+                "baseline": baseline,
+                "total_points": total,
                 "offset": start,
                 "limit": limit,
-                "front": rows[start:stop],
+                "front": rows,
             },
             headers=headers,
         )

@@ -118,10 +118,11 @@ class FrontView:
 
     The always-present state is columnar: the exact raw JSON bytes, the
     read-only objective arrays, and the precomputed Pareto index. Design
-    points, the decoded document and the Pareto column slices materialize
-    lazily and are cached — an npz-backed view answers constraint/top-k
-    queries without ever constructing a :class:`DesignPoint` for rows the
-    response doesn't include.
+    points and the Pareto column slices materialize lazily and are cached
+    — an npz-backed view answers constraint/top-k queries and pages
+    without ever decoding the document or constructing a
+    :class:`DesignPoint` for rows the response doesn't include. A JSON
+    view holds the document it decoded.
 
     Attributes:
         dataset: the dataset the front belongs to.
@@ -188,17 +189,23 @@ class FrontView:
         return int(self.columns["accuracy"].shape[0])
 
     @property
-    def document(self) -> Mapping[str, object]:
-        """The decoded front document (lazy for npz-backed views)."""
-        if self._document is None:
-            self._document = json.loads(self.raw.decode("utf-8"))
-        return self._document
-
-    @property
     def baseline(self) -> Optional[Mapping[str, object]]:
         """The front's baseline document (``None`` for mixed jobs)."""
-        baseline = self.document.get("baseline")
+        baseline = self.page(0, 0)[0]
         return baseline if isinstance(baseline, dict) else None
+
+    def page(self, start: int, stop: Optional[int]) -> Tuple[object, int, List[object]]:
+        """``(baseline, total rows, front[start:stop])`` of the front document.
+
+        The values are the decoded document's own: an npz view decodes
+        only the window's rows, a JSON view slices its decoded document.
+        """
+        if self._columnar is not None:
+            columnar = self._columnar
+            return columnar.baseline, columnar.n_rows, columnar.entries(start, stop)
+        assert self._document is not None
+        front = self._document["front"]
+        return self._document.get("baseline"), len(front), front[start:stop]  # type: ignore[index]
 
     def point(self, row: int) -> DesignPoint:
         """Materialize one front row (cached; npz rows decode on demand)."""
@@ -562,7 +569,28 @@ class FrontStore:
         the HTTP layer's ETag — always tags exactly the bytes returned
         beside it (see :func:`combine_fingerprints`).
         """
+        return self._served(dataset, self.views(dataset))
+
+    def page(
+        self, dataset: str, start: int, stop: Optional[int]
+    ) -> Tuple[Tuple[object, int, List[object]], str]:
+        """``((baseline, total rows, front[start:stop]), fingerprint)``, atomically.
+
+        The window holds the decoded values of the document :meth:`front`
+        serves, from the same one snapshot of views. A single campaign
+        answers from its view (:meth:`FrontView.page`), so no request
+        decodes the whole document; a union decodes its merged document.
+        """
         views = self.views(dataset)
+        if len(views) == 1:
+            return views[0].page(start, stop), views[0].fingerprint
+        raw, fingerprint = self._served(dataset, views)
+        document = json.loads(raw.decode("utf-8"))
+        front = document["front"]
+        return (document["baseline"], len(front), front[start:stop]), fingerprint
+
+    def _served(self, dataset: str, views: Sequence[FrontView]) -> Tuple[bytes, str]:
+        """``(served bytes, fingerprint)`` over one snapshot of views."""
         if len(views) == 1:
             return views[0].raw, views[0].fingerprint
         merged, _robust = self._union_points(views)
