@@ -1,7 +1,7 @@
 """Result analysis and presentation: text tables, ASCII plots, experiment export."""
 
 from .ascii_plots import TECHNIQUE_MARKERS, front_plot, scatter_plot, sweep_plot
-from .export import export_comparison, export_sweep
+from .export import export_sweep
 from .tables import (
     SWEEP_HEADERS,
     gains_table,
@@ -16,7 +16,6 @@ from .tables import (
 __all__ = [
     "SWEEP_HEADERS",
     "TECHNIQUE_MARKERS",
-    "export_comparison",
     "export_sweep",
     "front_plot",
     "gains_table",

@@ -7,9 +7,8 @@ results can be archived or diffed between runs without re-running anything.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from ..core.pareto import area_gain_table
 from ..core.results import SweepResult
@@ -63,27 +62,3 @@ def export_sweep(
     figure_path.write_text(sweep_plot(sweep) + "\n")
     paths["figure"] = figure_path
     return paths
-
-
-def export_comparison(
-    sweeps: Dict[str, SweepResult],
-    output_dir: Union[str, Path],
-    paper_values: Optional[Dict[str, float]] = None,
-    max_accuracy_loss: float = 0.05,
-) -> Path:
-    """Write a cross-dataset gain comparison (``comparison.md`` + ``.json``)."""
-    output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    gains_by_dataset = {
-        name: area_gain_table(sweep, max_accuracy_loss=max_accuracy_loss)
-        for name, sweep in sweeps.items()
-    }
-    markdown_path = output_dir / "comparison.md"
-    markdown_path.write_text(
-        "# Area gain at the accuracy-loss budget, per dataset\n\n"
-        + gains_table(gains_by_dataset, paper_values=paper_values, markdown=True)
-        + "\n"
-    )
-    json_path = output_dir / "comparison.json"
-    json_path.write_text(json.dumps(gains_by_dataset, indent=2))
-    return markdown_path

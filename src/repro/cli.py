@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -348,11 +349,19 @@ def _cmd_campaign_coordinate(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_work(args: argparse.Namespace) -> int:
     from .campaign import FabricWorker
+    from .campaign.fabric import FabricLayout
 
     out = Path(args.out)
-    if not out.is_dir():
-        print(f"error: campaign directory not found: {out.resolve()}")
-        return 1
+    fabric_dir = FabricLayout(out).root
+    if not fabric_dir.is_dir():
+        # A worker may start before its coordinator has laid out the campaign.
+        print(f"waiting up to {args.max_idle:g} s for {fabric_dir.resolve()}", flush=True)
+        deadline = time.monotonic() + args.max_idle
+        while not fabric_dir.is_dir():
+            if time.monotonic() >= deadline:
+                print(f"error: campaign fabric not found: {fabric_dir.resolve()}")
+                return 1
+            time.sleep(args.poll_interval)
     worker = FabricWorker(
         out,
         worker_id=args.worker_id,
@@ -634,7 +643,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_work.add_argument("--poll-interval", type=float, default=0.5,
                                help="idle poll interval in seconds")
     campaign_work.add_argument("--max-idle", type=float, default=300.0,
-                               help="exit after this many idle seconds")
+                               help="exit after this many idle seconds (also how "
+                                    "long to wait for the coordinator to create "
+                                    "<out>/fabric)")
     campaign_work.add_argument("--max-jobs", type=int, default=None,
                                help="stop after executing this many jobs")
     campaign_work.add_argument("--max-attempts", type=int, default=None,
@@ -680,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--refresh", type=float, default=None,
                            help="re-index interval in seconds (default: no "
                                 "periodic refresh; views still revalidate "
-                                "against file mtimes on every access)")
+                                "against the file's stat on every access)")
     serve_cmd.add_argument("--refresh-reports", action="store_true",
                            help="during periodic --refresh, rebuild campaign "
                                 "reports that lag their completed jobs — "

@@ -8,6 +8,7 @@ from .config import (
     PipelineConfig,
     fast_config,
 )
+from .lru import LRUCache
 from .pareto import (
     area_gain_table,
     average_area_gain,
@@ -32,6 +33,7 @@ __all__ = [
     "DEFAULT_CLUSTER_RANGE",
     "DEFAULT_SPARSITY_RANGE",
     "DesignPoint",
+    "LRUCache",
     "MinimizationPipeline",
     "NormalizedPoint",
     "PipelineConfig",

@@ -19,14 +19,8 @@ from .registry import (
     register_dataset,
     resolve_dataset_names,
 )
-from .synthetic import (
-    GaussianClassSpec,
-    SyntheticSpec,
-    generate_gaussian_mixture,
-    make_blobs,
-)
+from .synthetic import GaussianClassSpec, SyntheticSpec, generate_gaussian_mixture
 from .uci import (
-    dataset_statistics,
     load_pendigits,
     load_redwine,
     load_seeds,
@@ -44,7 +38,6 @@ __all__ = [
     "StandardScaler",
     "SyntheticSpec",
     "available_datasets",
-    "dataset_statistics",
     "generate_gaussian_mixture",
     "get_classifier_spec",
     "load_dataset",
@@ -52,7 +45,6 @@ __all__ = [
     "load_redwine",
     "load_seeds",
     "load_whitewine",
-    "make_blobs",
     "normalize_name",
     "one_hot",
     "prepare_split",

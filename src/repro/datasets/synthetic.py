@@ -180,23 +180,3 @@ def generate_gaussian_mixture(spec: SyntheticSpec) -> Dataset:
         or tuple(f"class_{i}" for i in range(spec.n_classes)),
         metadata=metadata,
     )
-
-
-def make_blobs(
-    n_samples: int,
-    n_features: int,
-    n_classes: int,
-    class_separation: float = 3.0,
-    seed: Optional[int] = None,
-    name: str = "blobs",
-) -> Dataset:
-    """Quick helper for tests and examples: balanced, equal-spread classes."""
-    spec = SyntheticSpec(
-        n_samples=n_samples,
-        n_features=n_features,
-        class_specs=[GaussianClassSpec() for _ in range(n_classes)],
-        class_separation=class_separation,
-        seed=seed,
-        name=name,
-    )
-    return generate_gaussian_mixture(spec)

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from .base import Dataset
 from .synthetic import GaussianClassSpec, SyntheticSpec, generate_gaussian_mixture
 
@@ -144,16 +142,3 @@ def load_seeds(n_samples: int = 210, seed: Optional[int] = 31) -> Dataset:
         class_names=("kama", "rosa", "canadian"),
     )
     return generate_gaussian_mixture(spec)
-
-
-def dataset_statistics(dataset: Dataset) -> dict:
-    """Summary statistics used by the experiment reports and tests."""
-    return {
-        "name": dataset.name,
-        "n_samples": dataset.n_samples,
-        "n_features": dataset.n_features,
-        "n_classes": dataset.n_classes,
-        "class_balance": dataset.class_balance().tolist(),
-        "feature_mean": float(np.mean(dataset.features)),
-        "feature_std": float(np.std(dataset.features)),
-    }

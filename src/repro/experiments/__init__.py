@@ -11,7 +11,7 @@ from .ablation import (
 from .baselines import BaselineRow, baseline_for, baseline_table, expected_topologies
 from .figure1 import Figure1Panel, figure1_summary_rows, run_figure1, run_figure1_panel
 from .figure2 import Figure2Result, run_figure2
-from .summary import PAPER_HEADLINE_GAINS, SummaryResult, run_summary, summarize_sweeps
+from .summary import PAPER_HEADLINE_GAINS, SummaryResult, summarize_sweeps
 
 __all__ = [
     "AblationResult",
@@ -32,6 +32,5 @@ __all__ = [
     "run_figure1",
     "run_figure1_panel",
     "run_figure2",
-    "run_summary",
     "summarize_sweeps",
 ]

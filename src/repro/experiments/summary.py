@@ -8,20 +8,18 @@ accuracy-loss budget:
 * weight clustering: ≈3.5× on average (budget met only on the wine datasets),
 * all three combined (GA): up to 8× (WhiteWine).
 
-:func:`run_summary` recomputes those numbers from the Figure-1 sweeps and
-the Figure-2 GA run and reports them next to the paper's values.
+:func:`summarize_sweeps` recomputes those numbers from the Figure-1 sweeps
+and the Figure-2 GA run and reports them next to the paper's values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..core.pareto import average_area_gain, best_area_gain_at_loss
 from ..core.results import SweepResult
-from ..datasets.registry import PAPER_DATASETS
-from .figure1 import Figure1Panel, run_figure1
-from .figure2 import Figure2Result, run_figure2
+from .figure2 import Figure2Result
 
 #: The paper's reported headline values (area-gain factors at <=5 % loss).
 PAPER_HEADLINE_GAINS: Dict[str, float] = {
@@ -78,19 +76,3 @@ def summarize_sweeps(
     if combined is not None and combined.combined_gain is not None:
         summary.measured["combined"] = float(combined.combined_gain)
     return summary
-
-
-def run_summary(
-    datasets: Sequence[str] = PAPER_DATASETS,
-    fast: bool = False,
-    combined_dataset: str = "whitewine",
-) -> SummaryResult:
-    """Recompute every headline number from scratch.
-
-    Runs the four Figure-1 panels and the Figure-2 GA; with ``fast=True`` the
-    reduced-cost configurations are used (suitable for CI/benchmarks).
-    """
-    panels: Dict[str, Figure1Panel] = run_figure1(datasets, fast=fast)
-    sweeps = {dataset: panel.sweep for dataset, panel in panels.items()}
-    combined = run_figure2(combined_dataset, fast=fast)
-    return summarize_sweeps(sweeps, combined)

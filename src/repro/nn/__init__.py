@@ -21,32 +21,14 @@ from .initializers import available_initializers, get_initializer
 from .layers import ActivationLayer, Dense, Dropout, Layer
 from .losses import (
     CategoricalCrossEntropy,
-    HingeLoss,
     Loss,
     MeanAbsoluteError,
     MeanSquaredError,
     SoftmaxCrossEntropy,
-    available_losses,
-    get_loss,
 )
-from .metrics import (
-    accuracy,
-    accuracy_drop,
-    confusion_matrix,
-    per_class_accuracy,
-    precision_recall_f1,
-    top_k_accuracy,
-)
+from .metrics import accuracy, accuracy_drop, per_class_accuracy
 from .network import MLP, build_mlp
-from .optimizers import (
-    SGD,
-    Adam,
-    Optimizer,
-    RMSProp,
-    StackedAdam,
-    available_optimizers,
-    get_optimizer,
-)
+from .optimizers import Adam, Optimizer, StackedAdam
 from .serialization import load_model, save_model
 from .stacked import (
     StackedTrainer,
@@ -70,7 +52,6 @@ __all__ = [
     "CategoricalCrossEntropy",
     "Dense",
     "Dropout",
-    "HingeLoss",
     "Identity",
     "Layer",
     "LeakyReLU",
@@ -79,9 +60,7 @@ __all__ = [
     "MeanAbsoluteError",
     "MeanSquaredError",
     "Optimizer",
-    "RMSProp",
     "ReLU",
-    "SGD",
     "Sigmoid",
     "Softmax",
     "SoftmaxCrossEntropy",
@@ -95,23 +74,16 @@ __all__ = [
     "accuracy_drop",
     "available_activations",
     "available_initializers",
-    "available_losses",
-    "available_optimizers",
     "build_mlp",
-    "confusion_matrix",
     "finetune",
     "finetune_population",
     "finetune_stacked",
     "get_activation",
     "get_initializer",
-    "get_loss",
-    "get_optimizer",
     "load_model",
     "per_class_accuracy",
-    "precision_recall_f1",
     "predict_stacked",
     "save_model",
     "supports_stacking",
-    "top_k_accuracy",
     "train_classifier",
 ]

@@ -17,7 +17,7 @@ be expressed as a flat list of layers, Keras-style.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -298,22 +298,3 @@ class Dropout(Layer):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Dropout({self.rate})"
-
-
-def layer_summary(layer: Layer) -> Dict[str, object]:
-    """Return a small description dict used by :func:`repro.nn.network.MLP.summary`."""
-    info: Dict[str, object] = {"type": type(layer).__name__}
-    if isinstance(layer, Dense):
-        info.update(
-            {
-                "n_inputs": layer.n_inputs,
-                "n_outputs": layer.n_outputs,
-                "parameters": int(sum(p.size for p in layer.parameters)),
-                "sparsity": layer.sparsity(),
-            }
-        )
-    elif isinstance(layer, ActivationLayer):
-        info["activation"] = layer.activation.name
-    elif isinstance(layer, Dropout):
-        info["rate"] = layer.rate
-    return info

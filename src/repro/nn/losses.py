@@ -7,7 +7,7 @@ clustering fine-tuning utilities and for property tests of the optimizers.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Type
+from typing import Tuple
 
 import numpy as np
 
@@ -156,63 +156,3 @@ def sparse_softmax_cross_entropy_with_grad(
     probs.reshape(-1)[index] = picked - 1.0
     probs /= logits.shape[-2]
     return losses, probs
-
-
-class HingeLoss(Loss):
-    """Multi-class hinge (Crammer-Singer style) on raw scores.
-
-    Included as an alternative classification loss for robustness
-    experiments; not used by the main reproduction pipeline.
-    """
-
-    def __init__(self, margin: float = 1.0) -> None:
-        if margin <= 0:
-            raise ValueError(f"margin must be positive, got {margin}")
-        self.margin = float(margin)
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        scores = np.asarray(predictions, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-        correct = np.sum(scores * targets, axis=-1, keepdims=True)
-        margins = np.maximum(0.0, scores - correct + self.margin)
-        margins = margins * (1.0 - targets)
-        return float(np.mean(np.sum(margins, axis=-1)))
-
-    def backward(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        scores = np.asarray(predictions, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-        correct = np.sum(scores * targets, axis=-1, keepdims=True)
-        margins = (scores - correct + self.margin) > 0.0
-        margins = margins & (targets == 0.0)
-        grad = margins.astype(np.float64)
-        grad -= targets * np.sum(margins, axis=-1, keepdims=True)
-        n = scores.shape[0] if scores.ndim > 1 else 1
-        return grad / n
-
-
-_REGISTRY: Dict[str, Type[Loss]] = {
-    "mse": MeanSquaredError,
-    "mean_squared_error": MeanSquaredError,
-    "mae": MeanAbsoluteError,
-    "mean_absolute_error": MeanAbsoluteError,
-    "categorical_crossentropy": CategoricalCrossEntropy,
-    "softmax_crossentropy": SoftmaxCrossEntropy,
-    "hinge": HingeLoss,
-}
-
-
-def get_loss(name: str) -> Loss:
-    """Instantiate a loss by name.
-
-    Raises:
-        KeyError: if ``name`` is not a registered loss.
-    """
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise KeyError(f"Unknown loss '{name}'. Available: {sorted(_REGISTRY)}")
-    return _REGISTRY[key]()
-
-
-def available_losses() -> Tuple[str, ...]:
-    """Return the names of all registered losses."""
-    return tuple(sorted(_REGISTRY))

@@ -1,13 +1,10 @@
 """Classification metrics used throughout the reproduction.
 
-The paper reports only top-1 accuracy; the additional metrics here support
-the extended analysis in ``EXPERIMENTS.md`` (per-class behaviour when pruning
-aggressively, confusion structure of the wine classifiers, etc.).
+The paper reports only top-1 accuracy; :func:`per_class_accuracy` shows
+per-class behaviour when pruning aggressively.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional
 
 import numpy as np
 
@@ -33,71 +30,15 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(true_labels == pred_labels))
 
 
-def confusion_matrix(
-    y_true: np.ndarray, y_pred: np.ndarray, n_classes: Optional[int] = None
-) -> np.ndarray:
-    """Confusion matrix with rows = true class, columns = predicted class."""
-    true_labels = _to_labels(y_true)
-    pred_labels = _to_labels(y_pred)
-    if n_classes is None:
-        n_classes = int(max(true_labels.max(), pred_labels.max())) + 1
-    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(true_labels, pred_labels):
-        matrix[t, p] += 1
-    return matrix
-
-
 def per_class_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
     """Recall of every class (NaN for classes absent from ``y_true``)."""
-    matrix = confusion_matrix(y_true, y_pred)
-    totals = matrix.sum(axis=1).astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(totals > 0, np.diag(matrix) / totals, np.nan)
-
-
-def precision_recall_f1(
-    y_true: np.ndarray, y_pred: np.ndarray, average: str = "macro"
-) -> Dict[str, float]:
-    """Macro- or micro-averaged precision, recall and F1.
-
-    Args:
-        average: ``"macro"`` (unweighted class mean) or ``"micro"``
-            (global counts; equals accuracy for single-label problems).
-    """
-    if average not in ("macro", "micro"):
-        raise ValueError(f"average must be 'macro' or 'micro', got '{average}'")
-    matrix = confusion_matrix(y_true, y_pred).astype(np.float64)
-    tp = np.diag(matrix)
-    fp = matrix.sum(axis=0) - tp
-    fn = matrix.sum(axis=1) - tp
-
-    if average == "micro":
-        tp_sum, fp_sum, fn_sum = tp.sum(), fp.sum(), fn.sum()
-        precision = tp_sum / (tp_sum + fp_sum) if (tp_sum + fp_sum) > 0 else 0.0
-        recall = tp_sum / (tp_sum + fn_sum) if (tp_sum + fn_sum) > 0 else 0.0
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            class_precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
-            class_recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
-        precision = float(np.mean(class_precision))
-        recall = float(np.mean(class_recall))
-
-    f1 = 2 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
-    return {"precision": float(precision), "recall": float(recall), "f1": float(f1)}
-
-
-def top_k_accuracy(y_true: np.ndarray, scores: np.ndarray, k: int = 2) -> float:
-    """Fraction of samples whose true class is within the top ``k`` scores."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise ValueError("scores must be a 2-D array of per-class scores")
     true_labels = _to_labels(y_true)
-    k = min(k, scores.shape[1])
-    top_k = np.argsort(-scores, axis=1)[:, :k]
-    hits = np.any(top_k == true_labels.reshape(-1, 1), axis=1)
-    return float(np.mean(hits))
+    pred_labels = _to_labels(y_pred)
+    n_classes = int(max(true_labels.max(), pred_labels.max())) + 1
+    totals = np.bincount(true_labels, minlength=n_classes).astype(np.float64)
+    correct = np.bincount(true_labels[true_labels == pred_labels], minlength=n_classes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(totals > 0, correct / totals, np.nan)
 
 
 def accuracy_drop(baseline_accuracy: float, accuracy_value: float) -> float:

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .layers import ActivationLayer, Dense, Dropout, Layer, layer_summary
+from .layers import ActivationLayer, Dense, Dropout, Layer
 from .metrics import accuracy
 
 
@@ -148,10 +148,6 @@ class MLP:
             )
         for layer, entry in zip(dense, weight_dicts):
             layer.set_weights(entry["weights"], entry.get("bias"))
-
-    def summary(self) -> List[Dict[str, object]]:
-        """Per-layer description dictionaries (type, shape, sparsity...)."""
-        return [layer_summary(layer) for layer in self.layers]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         topo = "-".join(str(n) for n in self.topology())

@@ -7,7 +7,7 @@ that layer hooks (masks, quantizers) keep pointing at the same arrays.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,48 +28,6 @@ class Optimizer:
 
     def reset_state(self) -> None:
         """Clear any accumulated state (momentum buffers etc.)."""
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        nesterov: bool = False,
-    ) -> None:
-        super().__init__(learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self.nesterov = bool(nesterov)
-        self._velocities: Dict[int, np.ndarray] = {}
-
-    def update(
-        self, parameters: Sequence[np.ndarray], gradients: Sequence[np.ndarray]
-    ) -> None:
-        _check_aligned(parameters, gradients)
-        for param, grad in zip(parameters, gradients):
-            grad = grad + self.weight_decay * param if self.weight_decay else grad
-            if self.momentum > 0.0:
-                key = id(param)
-                velocity = self._velocities.get(key)
-                if velocity is None or velocity.shape != param.shape:
-                    velocity = np.zeros_like(param)
-                velocity = self.momentum * velocity + grad
-                self._velocities[key] = velocity
-                step = (grad + self.momentum * velocity) if self.nesterov else velocity
-            else:
-                step = grad
-            param -= self.learning_rate * step
-
-    def reset_state(self) -> None:
-        self._velocities.clear()
 
 
 class Adam(Optimizer):
@@ -298,41 +256,6 @@ class StackedAdam:
             self._denom = np.empty_like(self._m)
 
 
-class RMSProp(Optimizer):
-    """RMSProp with exponentially decaying average of squared gradients."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.001,
-        decay: float = 0.9,
-        epsilon: float = 1e-8,
-    ) -> None:
-        super().__init__(learning_rate)
-        if not 0.0 <= decay < 1.0:
-            raise ValueError(f"decay must be in [0, 1), got {decay}")
-        if epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        self.decay = float(decay)
-        self.epsilon = float(epsilon)
-        self._cache: Dict[int, np.ndarray] = {}
-
-    def update(
-        self, parameters: Sequence[np.ndarray], gradients: Sequence[np.ndarray]
-    ) -> None:
-        _check_aligned(parameters, gradients)
-        for param, grad in zip(parameters, gradients):
-            key = id(param)
-            cache = self._cache.get(key)
-            if cache is None or cache.shape != param.shape:
-                cache = np.zeros_like(param)
-            cache = self.decay * cache + (1.0 - self.decay) * (grad * grad)
-            self._cache[key] = cache
-            param -= self.learning_rate * grad / (np.sqrt(cache) + self.epsilon)
-
-    def reset_state(self) -> None:
-        self._cache.clear()
-
-
 def _adam_step(
     grads: np.ndarray,
     m: np.ndarray,
@@ -385,27 +308,3 @@ def _check_aligned(
             raise ValueError(
                 f"Parameter/gradient shape mismatch: {param.shape} vs {grad.shape}"
             )
-
-
-_REGISTRY: Dict[str, Type[Optimizer]] = {
-    "sgd": SGD,
-    "adam": Adam,
-    "rmsprop": RMSProp,
-}
-
-
-def get_optimizer(name: str, **kwargs) -> Optimizer:
-    """Instantiate an optimizer by name with keyword overrides.
-
-    Raises:
-        KeyError: if ``name`` is not a registered optimizer.
-    """
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise KeyError(f"Unknown optimizer '{name}'. Available: {sorted(_REGISTRY)}")
-    return _REGISTRY[key](**kwargs)
-
-
-def available_optimizers() -> List[str]:
-    """Return the names of all registered optimizers."""
-    return sorted(_REGISTRY)

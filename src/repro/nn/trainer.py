@@ -20,12 +20,11 @@ from .layers import ActivationLayer, Dense
 from .losses import (
     Loss,
     SoftmaxCrossEntropy,
-    get_loss,
     sparse_softmax_cross_entropy_with_grad,
 )
 from .metrics import accuracy
 from .network import MLP
-from .optimizers import Adam, Optimizer, get_optimizer
+from .optimizers import Adam, Optimizer
 
 
 class TrainingHistory:
@@ -154,9 +153,8 @@ class Trainer:
 
     Args:
         model: the network to train (modified in place).
-        optimizer: optimizer instance or registered name (default Adam).
-        loss: loss instance or registered name (default fused softmax
-            cross-entropy on logits).
+        optimizer: optimizer instance (default Adam).
+        loss: loss instance (default fused softmax cross-entropy on logits).
         config: training hyper-parameters.
         seed: seed for the shuffling generator.
         fast_path: use the fused QAT training step when the model/loss shape
@@ -172,23 +170,15 @@ class Trainer:
     def __init__(
         self,
         model: MLP,
-        optimizer: "Optimizer | str | None" = None,
-        loss: "Loss | str | None" = None,
+        optimizer: Optional[Optimizer] = None,
+        loss: Optional[Loss] = None,
         config: Optional[TrainerConfig] = None,
         seed: Optional[int] = None,
         fast_path: bool = True,
     ) -> None:
         self.model = model
-        if optimizer is None:
-            optimizer = Adam(learning_rate=0.01)
-        elif isinstance(optimizer, str):
-            optimizer = get_optimizer(optimizer)
-        self.optimizer = optimizer
-        if loss is None:
-            loss = SoftmaxCrossEntropy()
-        elif isinstance(loss, str):
-            loss = get_loss(loss)
-        self.loss = loss
+        self.optimizer = optimizer if optimizer is not None else Adam(learning_rate=0.01)
+        self.loss = loss if loss is not None else SoftmaxCrossEntropy()
         self.config = config if config is not None else TrainerConfig()
         self.fast_path = bool(fast_path)
         self._quant_pack: "dict | None" = None

@@ -1,63 +1,13 @@
-"""Pruning schedules: one-shot and gradual magnitude pruning.
-
-The paper's sweep uses one-shot pruning followed by fine-tuning at each
-sparsity level. Gradual (iterative) pruning — prune a little, fine-tune,
-repeat — usually reaches the same sparsity with less accuracy loss and is
-provided for the extension benchmarks.
-"""
+"""One-shot magnitude pruning: the paper's prune-then-fine-tune flow."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
-
 
 from ..datasets.preprocessing import PreparedData
 from ..nn.network import MLP
 from ..nn.stacked import finetune_population
-from ..nn.trainer import finetune
 from .magnitude import PruningResult, prune_by_magnitude
-
-
-@dataclass(frozen=True)
-class PruningScheduleConfig:
-    """Configuration of :func:`gradual_magnitude_pruning`.
-
-    Attributes:
-        target_sparsity: final overall sparsity.
-        n_steps: number of prune/fine-tune iterations.
-        epochs_per_step: fine-tuning epochs after each pruning step.
-        learning_rate: fine-tuning learning rate.
-        cubic: use the cubic sparsity ramp of Zhu & Gupta (2018) instead of
-            a linear ramp.
-    """
-
-    target_sparsity: float
-    n_steps: int = 4
-    epochs_per_step: int = 8
-    learning_rate: float = 0.003
-    cubic: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.target_sparsity < 1.0:
-            raise ValueError(
-                f"target_sparsity must be in [0, 1), got {self.target_sparsity}"
-            )
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.epochs_per_step < 0:
-            raise ValueError(f"epochs_per_step must be >= 0, got {self.epochs_per_step}")
-
-    def sparsity_at_step(self, step: int) -> float:
-        """Sparsity target after ``step`` (1-based) of ``n_steps`` steps."""
-        if not 1 <= step <= self.n_steps:
-            raise ValueError(f"step must be in [1, {self.n_steps}], got {step}")
-        progress = step / self.n_steps
-        if self.cubic:
-            ramp = 1.0 - (1.0 - progress) ** 3
-        else:
-            ramp = progress
-        return self.target_sparsity * ramp
 
 
 def one_shot_pruning(
@@ -111,66 +61,3 @@ def one_shot_pruning_population(
             seeds=[seed] * len(models),
         )
     return results
-
-
-def gradual_magnitude_pruning(
-    model: MLP,
-    data: PreparedData,
-    config: PruningScheduleConfig,
-    seed: Optional[int] = None,
-) -> List[PruningResult]:
-    """Iteratively prune and fine-tune until the target sparsity is reached.
-
-    Returns the :class:`PruningResult` of each step (the last one reflects
-    the final state).
-    """
-    results: List[PruningResult] = []
-    for step in range(1, config.n_steps + 1):
-        step_sparsity = config.sparsity_at_step(step)
-        result = prune_by_magnitude(model, step_sparsity)
-        results.append(result)
-        if config.epochs_per_step > 0:
-            finetune(
-                model,
-                data.train.features,
-                data.train.labels,
-                data.validation.features,
-                data.validation.labels,
-                epochs=config.epochs_per_step,
-                learning_rate=config.learning_rate,
-                seed=None if seed is None else seed + step,
-            )
-    return results
-
-
-def sparsity_accuracy_curve(
-    model: MLP,
-    data: PreparedData,
-    sparsities: List[float],
-    finetune_epochs: int = 15,
-    seed: Optional[int] = None,
-) -> List[dict]:
-    """Accuracy after one-shot pruning + fine-tuning at each sparsity level.
-
-    Each level starts from a fresh clone of the original model (levels are
-    independent, matching how the paper's Figure 1 pruning points are built).
-    """
-    curve = []
-    for sparsity in sparsities:
-        candidate = model.clone()
-        result = one_shot_pruning(
-            candidate,
-            float(sparsity),
-            data=data,
-            finetune_epochs=finetune_epochs,
-            seed=seed,
-        )
-        accuracy = candidate.evaluate_accuracy(data.test.features, data.test.labels)
-        curve.append(
-            {
-                "target_sparsity": float(sparsity),
-                "achieved_sparsity": result.achieved_sparsity,
-                "accuracy": float(accuracy),
-            }
-        )
-    return curve

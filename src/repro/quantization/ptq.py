@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-import numpy as np
-
 from ..datasets.preprocessing import PreparedData
 from ..nn.network import MLP
 from .quantizers import SymmetricQuantizer
@@ -78,31 +76,3 @@ def post_training_quantize(
     if data is not None:
         accuracy = clone.evaluate_accuracy(data.test.features, data.test.labels)
     return PTQResult(model=clone, weight_bits=per_layer, scales=scales, accuracy=accuracy)
-
-
-def ptq_bitwidth_sensitivity(
-    model: MLP,
-    data: PreparedData,
-    bit_range: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
-) -> Dict[int, float]:
-    """Test accuracy of PTQ at each bit-width (no retraining).
-
-    Used by the ablation benchmark to quantify how much accuracy QAT recovers
-    over plain PTQ at low precision.
-    """
-    results: Dict[int, float] = {}
-    for bits in bit_range:
-        result = post_training_quantize(model, bits, data=data)
-        results[int(bits)] = float(result.accuracy) if result.accuracy is not None else float("nan")
-    return results
-
-
-def layer_quantization_error(model: MLP, bits: int) -> List[float]:
-    """Per-layer RMS error a ``bits``-bit symmetric quantization would cause."""
-    errors: List[float] = []
-    for layer in model.dense_layers:
-        weights = layer.weights if layer.mask is None else layer.weights * layer.mask
-        quantizer = SymmetricQuantizer(bits=bits)
-        quantized = quantizer(weights)
-        errors.append(float(np.sqrt(np.mean((weights - quantized) ** 2))))
-    return errors

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
-import numpy as np
-
 from ..datasets.preprocessing import PreparedData
 from ..nn.network import MLP
 from ..nn.stacked import finetune_population
@@ -164,21 +162,3 @@ def weight_bits_used(model: MLP) -> List[Optional[int]]:
         quantizer = layer.weight_quantizer
         bits.append(getattr(quantizer, "bits", None) if quantizer is not None else None)
     return bits
-
-
-def quantization_snr(model: MLP) -> float:
-    """Signal-to-quantization-noise ratio (dB) over all Dense weights.
-
-    Infinite when no quantizer is attached or the weights are exactly
-    representable.
-    """
-    signal = 0.0
-    noise = 0.0
-    for layer in model.dense_layers:
-        w = layer.weights if layer.mask is None else layer.weights * layer.mask
-        effective = layer.effective_weights()
-        signal += float(np.sum(w * w))
-        noise += float(np.sum((w - effective) ** 2))
-    if noise == 0.0:
-        return float("inf")
-    return float(10.0 * np.log10(signal / noise)) if signal > 0 else float("-inf")

@@ -110,60 +110,6 @@ class SymmetricQuantizer(Quantizer):
         return max_symmetric_level(self.bits)
 
 
-@dataclass
-class PowerOfTwoQuantizer(Quantizer):
-    """Quantizer restricting weights to signed powers of two (and zero).
-
-    Power-of-two coefficients need no adders in a bespoke multiplier (pure
-    shifts), so this quantizer is the most hardware-friendly — and most
-    accuracy-hungry — point of the design space. It is provided for the
-    extension studies, not used by the paper's main sweeps.
-
-    Args:
-        bits: total bit-width budget; exponents range over
-            ``[0, 2**(bits-1) - 1]`` relative to the tensor's maximum.
-    """
-
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.bits < 2:
-            raise ValueError(f"bits must be >= 2, got {self.bits}")
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            return values.copy()
-        max_abs = float(np.max(np.abs(values)))
-        if max_abs == 0.0:
-            return np.zeros_like(values)
-        n_exponents = max_symmetric_level(self.bits)
-        # Exponent 0 corresponds to max_abs; smaller weights round to
-        # progressively smaller powers of two, the smallest to zero.
-        with np.errstate(divide="ignore"):
-            exponents = np.round(np.log2(np.abs(values) / max_abs))
-        exponents = np.where(np.isfinite(exponents), exponents, -np.inf)
-        quantized = np.where(
-            exponents < -(n_exponents - 1),
-            0.0,
-            np.sign(values) * max_abs * np.power(2.0, np.clip(exponents, -(n_exponents - 1), 0)),
-        )
-        return quantized
-
-    def integer_levels(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        quantized = self(values)
-        if quantized.size == 0:
-            return quantized.astype(np.int64)
-        max_abs = float(np.max(np.abs(quantized)))
-        if max_abs == 0.0:
-            return np.zeros(quantized.shape, dtype=np.int64)
-        # Smallest non-zero magnitude becomes 1; all levels are powers of two.
-        nonzero = np.abs(quantized[quantized != 0.0])
-        smallest = float(np.min(nonzero))
-        return np.round(quantized / smallest).astype(np.int64)
-
-
 def quantize_tensor(values: np.ndarray, bits: int) -> np.ndarray:
     """Convenience function: symmetric fake-quantization with a dynamic scale."""
     return SymmetricQuantizer(bits=bits)(values)

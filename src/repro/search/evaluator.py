@@ -32,9 +32,9 @@ subclasses it to fan cache misses out over a ``ProcessPoolExecutor``.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+from ..core.lru import LRUCache
 from ..core.pipeline import PreparedPipeline
 from ..core.results import DesignPoint
 from .genome import Genome
@@ -61,37 +61,24 @@ def genome_seed(base_seed: Optional[int], genome: Genome) -> Optional[int]:
     return int.from_bytes(digest[:8], "big") % _SEED_SPACE
 
 
-class EvaluationCache:
+class EvaluationCache(LRUCache):
     """Genome-keyed memo of evaluated design points.
 
+    An :class:`~repro.core.lru.LRUCache` keyed by ``genome.key()``.
     Unbounded by default, with insertion order preserved (it matches the
     order genomes were first submitted for evaluation), so :meth:`points`
     is deterministic and identical between serial and parallel runs.
 
     Args:
-        max_entries: optional LRU bound. When set, a lookup refreshes the
-            entry's recency and inserting beyond the bound evicts the least
-            recently used genome (counted in :attr:`evictions`). Evicted
-            genomes disappear from :meth:`points` and will be re-evaluated
-            if encountered again — re-evaluation is deterministic, so search
-            results are unchanged; only wall-clock and the all-points
-            bookkeeping are affected.
+        max_entries: optional LRU bound. Evicted genomes disappear from
+            :meth:`points` and will be re-evaluated if encountered again —
+            re-evaluation is deterministic, so search results are
+            unchanged; only wall-clock and the all-points bookkeeping are
+            affected.
     """
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._points: "OrderedDict[Tuple, DesignPoint]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._points)
-
     def __contains__(self, genome: Genome) -> bool:
-        return genome.key() in self._points
+        return genome.key() in self._entries
 
     def get(self, genome: Genome) -> Optional[DesignPoint]:
         """Cached point for ``genome``, or ``None`` (refreshes LRU recency).
@@ -100,29 +87,15 @@ class EvaluationCache:
         maintains ``hits``/``misses`` at the population level, where
         intra-batch duplicates are visible.
         """
-        key = genome.key()
-        point = self._points.get(key)
-        if point is not None and self.max_entries is not None:
-            self._points.move_to_end(key)
-        return point
-
-    def peek(self, genome: Genome) -> DesignPoint:
-        """Cached point without touching recency or counters (KeyError if absent)."""
-        return self._points[genome.key()]
+        return super().get(genome.key())
 
     def put(self, genome: Genome, point: DesignPoint) -> None:
         """Insert (or refresh) a genome's design point, evicting LRU overflow."""
-        key = genome.key()
-        self._points[key] = point
-        if self.max_entries is not None:
-            self._points.move_to_end(key)
-            while len(self._points) > self.max_entries:
-                self._points.popitem(last=False)
-                self.evictions += 1
+        super().put(genome.key(), point)
 
     def points(self) -> List[DesignPoint]:
         """Every design point currently held, in first-seen (or LRU) order."""
-        return list(self._points.values())
+        return self.values()
 
 
 class SerialEvaluator:

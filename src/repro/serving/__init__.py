@@ -23,7 +23,6 @@ from .query import (
 )
 from .store import (
     FRONT_COLUMNS,
-    FrontCache,
     FrontStore,
     FrontView,
     UnknownDatasetError,
@@ -34,7 +33,6 @@ from .store import (
 
 __all__ = [
     "FRONT_COLUMNS",
-    "FrontCache",
     "FrontQuery",
     "FrontServer",
     "FrontStore",

@@ -17,13 +17,15 @@ of times per second:
   the embedded SHA-256 and falling back to the byte-identical JSON path
   on any mismatch. Design points materialize lazily, row by row, only
   when a query actually returns them.
-* Deserialized views live in a :class:`FrontCache` — an LRU with exactly
-  the bound semantics of :class:`repro.search.evaluator.EvaluationCache`
-  (``max_entries >= 1``, recency refresh on hit, least-recently-used
-  eviction, ``hits``/``misses``/``evictions`` counters), so the serving
-  layer's memory ceiling is tuned the same way the evaluator's is.
+* Deserialized views live in the :class:`~repro.core.lru.LRUCache` that
+  also backs :class:`repro.search.evaluator.EvaluationCache`, keyed by
+  ``(campaign, dataset)`` (``max_entries >= 1``, recency refresh on hit,
+  least-recently-used eviction, ``hits``/``misses``/``evictions``
+  counters), so the serving layer's memory ceiling is tuned the same way
+  the evaluator's is. Evicted views are re-deserialized from disk on the
+  next access; results are unchanged, only latency is affected.
 * Every access revalidates the cached view against the file's stat
-  signature (mtime + size) and the campaign's report fingerprint from
+  signature (mtime, size, inode) and the campaign's report fingerprint from
   ``summary.json`` — rewriting a report invalidates exactly the views it
   changed, with no restart. ``report.py`` writes atomically, so a reader
   sees the old document or the new one, never a torn mix; a *corrupt*
@@ -45,7 +47,6 @@ import hashlib
 import json
 import re
 import threading
-from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -59,6 +60,7 @@ from ..campaign.columnar import (
     load_front_npz,
 )
 from ..campaign.journal import REPORT_DIR
+from ..core.lru import LRUCache
 from ..core.pareto import pareto_front, pareto_front_indices
 from ..core.results import DesignPoint
 
@@ -145,7 +147,7 @@ class FrontView:
         fingerprint: SHA-256 hex of ``raw`` — the view's ETag component.
         source: ``"npz"`` (mmap-backed columnar load) or ``"json"``
             (decoded document fallback).
-        signature: cache-invalidation token: ``(mtime_ns, size,
+        signature: cache-invalidation token: ``(mtime_ns, size, inode,
             fingerprint)`` of the backing file + campaign report.
     """
 
@@ -247,58 +249,6 @@ class FrontView:
         return self._pareto_columns
 
 
-class FrontCache:
-    """LRU of deserialized front views, mirroring ``EvaluationCache`` bounds.
-
-    Args:
-        max_entries: optional LRU bound. When set, a lookup refreshes the
-            entry's recency and inserting beyond the bound evicts the
-            least recently used view (counted in :attr:`evictions`) —
-            exactly the semantics of
-            :class:`repro.search.evaluator.EvaluationCache`, applied to
-            ``(campaign, dataset)`` keys instead of genomes. Evicted views
-            are re-deserialized from disk on the next access; results are
-            unchanged, only latency is affected.
-    """
-
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._views: "OrderedDict[Tuple[str, str], FrontView]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        """Number of cached views."""
-        return len(self._views)
-
-    def get(self, key: Tuple[str, str]) -> Optional[FrontView]:
-        """Cached view for ``key``, or ``None`` (refreshes LRU recency)."""
-        view = self._views.get(key)
-        if view is not None and self.max_entries is not None:
-            self._views.move_to_end(key)
-        return view
-
-    def put(self, key: Tuple[str, str], view: FrontView) -> None:
-        """Insert (or refresh) a view, evicting LRU overflow."""
-        self._views[key] = view
-        if self.max_entries is not None:
-            self._views.move_to_end(key)
-            while len(self._views) > self.max_entries:
-                self._views.popitem(last=False)
-                self.evictions += 1
-
-    def invalidate(self, key: Tuple[str, str]) -> None:
-        """Drop one view if cached."""
-        self._views.pop(key, None)
-
-    def clear(self) -> None:
-        """Drop every cached view (counters are preserved)."""
-        self._views.clear()
-
-
 def _spec_fault_rate(campaign: Path) -> Optional[float]:
     """The campaign's fault-injection rate, recovered from ``spec.json``.
 
@@ -352,7 +302,7 @@ class FrontStore:
             campaign stores serve the union Pareto front per dataset,
             merged with the ``report.py`` logic.
         max_entries: optional LRU bound on deserialized front views
-            (mirrors ``EvaluationCache``; ``None`` = unbounded).
+            (``None`` = unbounded).
     """
 
     def __init__(
@@ -365,7 +315,7 @@ class FrontStore:
         self.campaigns: Tuple[Path, ...] = tuple(Path(c) for c in campaigns)
         if not self.campaigns:
             raise ValueError("FrontStore needs at least one campaign directory")
-        self._cache = FrontCache(max_entries)
+        self._cache = LRUCache(max_entries)
         self._lock = threading.RLock()
         self._fault_rates: Dict[Path, Optional[float]] = {}
         self._fingerprints: Dict[Path, Optional[str]] = {
@@ -395,12 +345,17 @@ class FrontStore:
     # -- loading and invalidation ------------------------------------------------
 
     def _signature(self, campaign: Path, dataset: str) -> Optional[Tuple[object, ...]]:
-        """Current invalidation token of one front file (``None`` if absent)."""
+        """Current invalidation token of one front file (``None`` if absent).
+
+        Every report write replaces the file (``os.replace``), which gives it
+        a new inode, so a same-size rewrite inside one mtime tick still
+        changes the token.
+        """
         try:
             stat = self.front_path(campaign, dataset).stat()
         except OSError:
             return None
-        return (stat.st_mtime_ns, stat.st_size, self._fingerprints.get(campaign))
+        return (stat.st_mtime_ns, stat.st_size, stat.st_ino, self._fingerprints.get(campaign))
 
     def _load_view(self, campaign: Path, dataset: str) -> Optional[FrontView]:
         """Load one front; ``None`` if missing or corrupt.
@@ -501,7 +456,7 @@ class FrontStore:
         view = self._load_view(campaign, dataset)
         with self._lock:
             if view is None:
-                self._cache.invalidate(key)
+                self._cache.pop(key)
                 return None
             # Only cache the view if the file hasn't changed since the
             # load started — a racing writer's fresher view must not be
@@ -686,11 +641,10 @@ class FrontStore:
             self._fault_rates.clear()
             for campaign in self.campaigns:
                 self._fingerprints[campaign] = _report_fingerprint(campaign)
-            for key in list(self._cache._views):
+            for key, view in self._cache.items():
                 campaign_text, dataset = key
-                view = self._cache._views[key]
                 if view.signature != self._signature(Path(campaign_text), dataset):
-                    self._cache.invalidate(key)
+                    self._cache.pop(key)
                     invalidated += 1
             return {
                 "datasets": len(self.datasets()),
@@ -716,7 +670,6 @@ class FrontStore:
 
 __all__ = [
     "FRONT_COLUMNS",
-    "FrontCache",
     "FrontStore",
     "FrontView",
     "UnknownDatasetError",

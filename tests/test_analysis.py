@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import (
     TECHNIQUE_MARKERS,
-    export_comparison,
     export_sweep,
     front_plot,
     gains_table,
@@ -154,11 +153,3 @@ class TestExport:
         markdown = paths["markdown"].read_text()
         assert "Pareto points" in markdown
 
-    def test_export_comparison(self, sweep, tmp_path):
-        path = export_comparison(
-            {"toy": sweep}, tmp_path, paper_values={"quantization": 5.0}
-        )
-        assert path.exists()
-        data = json.loads((tmp_path / "comparison.json").read_text())
-        assert "toy" in data
-        assert "quantization" in data["toy"]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import profiling
 
 
 class TestParser:
@@ -101,6 +102,29 @@ class TestCommands:
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "combined" in output
+
+    def test_figure2_profile_prints_stage_rows(self, capsys):
+        exit_code = main(
+            [
+                "figure2",
+                "--dataset",
+                "seeds",
+                "--fast",
+                "--population",
+                "4",
+                "--generations",
+                "1",
+                "--finetune-epochs",
+                "1",
+                "--profile",
+            ]
+        )
+        assert exit_code == 0
+        report = capsys.readouterr().out.split("\nstage ")[-1]
+        rows = {line.split()[0]: line.split()[1:] for line in report.splitlines()[1:]}
+        for stage in ("train_baseline", "ga_evaluate", "evaluate_population_stacked", "synthesize"):
+            assert int(rows[stage][0]) >= 1, stage
+        assert not profiling.is_enabled()
 
     def test_figure2_fault_flags(self, capsys):
         exit_code = main(

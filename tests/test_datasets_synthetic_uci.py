@@ -16,15 +16,27 @@ from repro.datasets.synthetic import (
     GaussianClassSpec,
     SyntheticSpec,
     generate_gaussian_mixture,
-    make_blobs,
 )
 from repro.datasets.uci import (
-    dataset_statistics,
     load_pendigits,
     load_redwine,
     load_seeds,
     load_whitewine,
 )
+
+
+def make_blobs(n_samples, n_features, n_classes, class_separation=3.0, seed=None, name="blobs"):
+    """Balanced, equal-spread Gaussian classes."""
+    return generate_gaussian_mixture(
+        SyntheticSpec(
+            n_samples=n_samples,
+            n_features=n_features,
+            class_specs=[GaussianClassSpec() for _ in range(n_classes)],
+            class_separation=class_separation,
+            seed=seed,
+            name=name,
+        )
+    )
 
 
 class TestSyntheticGenerator:
@@ -145,12 +157,6 @@ class TestUCIStandIns:
         a, b = load_seeds(), load_seeds()
         np.testing.assert_array_equal(a.features, b.features)
 
-    def test_statistics_summary(self):
-        stats = dataset_statistics(load_seeds())
-        assert stats["name"] == "seeds"
-        assert stats["n_samples"] == 210
-        assert len(stats["class_balance"]) == 3
-
 
 class TestRegistry:
     def test_paper_datasets_all_loadable(self):
@@ -193,8 +199,6 @@ class TestRegistry:
 
     def test_register_custom_dataset(self):
         def loader(seed=None, n_samples=30):
-            from repro.datasets.synthetic import make_blobs
-
             return make_blobs(n_samples, 3, 2, seed=seed, name="custom_toy")
 
         spec = ClassifierSpec("custom_toy", hidden_layers=(3,))

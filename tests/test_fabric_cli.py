@@ -33,6 +33,15 @@ _SPEC = {
 JOB_IDS = ("seeds-random-s0", "seeds-random-s1")
 
 
+def _subprocess_env():
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    return env
+
+
 def _write_spec(tmp_path, spec=None, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(spec if spec is not None else _SPEC))
@@ -116,24 +125,56 @@ class TestWorkVerb:
             assert (out / "jobs" / job_id / "result.json").exists()
 
     def test_work_without_campaign_directory_reports_cleanly(self, tmp_path, capsys):
-        assert main(["campaign", "work", "--out", str(tmp_path / "nowhere")]) == 1
+        started = time.monotonic()
+        assert main(
+            ["campaign", "work", "--out", str(tmp_path / "nowhere"),
+             "--max-idle", "0.3", "--poll-interval", "0.05"]
+        ) == 1
+        assert time.monotonic() - started >= 0.3
         assert "not found" in capsys.readouterr().out
+        assert not (tmp_path / "nowhere").exists()
+
+    def test_worker_started_before_its_coordinator_completes_the_jobs(self, tmp_path):
+        spec_path = _write_spec(tmp_path)
+        out = tmp_path / "camp"
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "campaign", "work",
+             "--out", str(out), "--worker-id", "early",
+             "--poll-interval", "0.05", "--max-idle", "60"],
+            cwd=REPO_ROOT,
+            env=_subprocess_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        try:
+            # The worker is polling for a directory no one has created yet.
+            assert "waiting" in worker.stdout.readline()
+            assert main(
+                ["campaign", "coordinate", "--spec", str(spec_path), "--out", str(out),
+                 "--no-serial-fallback", "--max-wall", "120", "--poll-interval", "0.05"]
+            ) == 0
+            stdout, _ = worker.communicate(timeout=60)
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+                worker.wait(timeout=60)
+        assert worker.returncode == 0
+        assert "early: 2 completed" in stdout
+        for job_id in JOB_IDS:
+            assert (out / "jobs" / job_id / "result.json").exists()
 
 
 class TestFabricKillSmoke:
     """Real SIGKILL on a worker subprocess; coordinate finishes the grid."""
 
     def _start_worker(self, out_dir, worker_id):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
         return subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "campaign", "work",
              "--out", str(out_dir), "--worker-id", worker_id,
              "--lease-ttl", "2", "--poll-interval", "0.05", "--max-idle", "30"],
             cwd=REPO_ROOT,
-            env=env,
+            env=_subprocess_env(),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import ActivationLayer, Dense, Dropout, layer_summary
+from repro.nn.layers import ActivationLayer, Dense, Dropout
 
 
 @pytest.fixture
@@ -168,18 +168,3 @@ class TestActivationLayerAndDropout:
         np.testing.assert_array_equal(grad, out)
 
 
-class TestLayerSummary:
-    def test_dense_summary_fields(self, dense):
-        info = layer_summary(dense)
-        assert info["type"] == "Dense"
-        assert info["n_inputs"] == 4
-        assert info["n_outputs"] == 3
-        assert info["parameters"] == 4 * 3 + 3
-
-    def test_activation_summary(self):
-        info = layer_summary(ActivationLayer("tanh"))
-        assert info == {"type": "ActivationLayer", "activation": "tanh"}
-
-    def test_dropout_summary(self):
-        info = layer_summary(Dropout(0.25))
-        assert info == {"type": "Dropout", "rate": 0.25}

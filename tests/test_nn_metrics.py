@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.metrics import (
-    accuracy,
-    accuracy_drop,
-    confusion_matrix,
-    per_class_accuracy,
-    precision_recall_f1,
-    top_k_accuracy,
-)
+from repro.nn.metrics import accuracy, accuracy_drop, per_class_accuracy
 
 
 class TestAccuracy:
@@ -37,29 +30,7 @@ class TestAccuracy:
             accuracy([0, 1], [0, 1, 2])
 
 
-class TestConfusionMatrix:
-    def test_diagonal_for_perfect_prediction(self):
-        matrix = confusion_matrix([0, 1, 2, 2], [0, 1, 2, 2])
-        np.testing.assert_array_equal(matrix, np.diag([1, 1, 2]))
-
-    def test_off_diagonal_entries(self):
-        matrix = confusion_matrix([0, 0, 1], [1, 0, 1])
-        assert matrix[0, 1] == 1
-        assert matrix[0, 0] == 1
-        assert matrix[1, 1] == 1
-
-    def test_explicit_class_count(self):
-        matrix = confusion_matrix([0], [0], n_classes=5)
-        assert matrix.shape == (5, 5)
-
-    def test_rows_sum_to_true_counts(self):
-        y_true = [0, 0, 1, 2, 2, 2]
-        y_pred = [0, 1, 1, 0, 2, 2]
-        matrix = confusion_matrix(y_true, y_pred)
-        np.testing.assert_array_equal(matrix.sum(axis=1), [2, 1, 3])
-
-
-class TestPerClassAndF1:
+class TestPerClass:
     def test_per_class_accuracy_values(self):
         y_true = [0, 0, 1, 1]
         y_pred = [0, 1, 1, 1]
@@ -70,43 +41,38 @@ class TestPerClassAndF1:
         values = per_class_accuracy([0, 0], [0, 1])
         assert np.isnan(values[1])
 
-    def test_micro_f1_equals_accuracy(self):
-        y_true = [0, 1, 2, 1, 0]
-        y_pred = [0, 2, 2, 1, 1]
-        metrics = precision_recall_f1(y_true, y_pred, average="micro")
-        assert metrics["f1"] == pytest.approx(accuracy(y_true, y_pred))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_per_class_matches_per_class_loop(self, seed):
+        generator = np.random.default_rng(seed)
+        y_true = generator.integers(0, 4, size=40)
+        y_pred = np.where(generator.random(40) < 0.7, y_true, generator.integers(0, 4, size=40))
+        values = per_class_accuracy(y_true, y_pred)
+        n_classes = int(max(y_true.max(), y_pred.max())) + 1
+        assert values.shape == (n_classes,)
+        for label in range(n_classes):
+            members = y_true == label
+            if members.any():
+                assert values[label] == np.mean(y_pred[members] == label)
+            else:
+                assert np.isnan(values[label])
 
-    def test_macro_perfect(self):
-        metrics = precision_recall_f1([0, 1, 2], [0, 1, 2], average="macro")
-        assert metrics == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
+    def test_per_class_accepts_one_hot_and_scores(self):
+        y_true = np.eye(3)[[0, 1, 2, 2]]
+        scores = np.array([[0.8, 0.1, 0.1], [0.6, 0.3, 0.1], [0.1, 0.1, 0.8], [0.2, 0.7, 0.1]])
+        np.testing.assert_array_equal(per_class_accuracy(y_true, scores), [1.0, 0.0, 0.5])
 
-    def test_invalid_average_rejected(self):
-        with pytest.raises(ValueError):
-            precision_recall_f1([0], [0], average="weighted")
+    def test_support_weighted_mean_is_accuracy(self):
+        y_true = np.array([0, 0, 0, 1, 2, 2])
+        y_pred = np.array([0, 1, 0, 1, 0, 2])
+        support = np.bincount(y_true)
+        weighted = np.sum(per_class_accuracy(y_true, y_pred) * support) / support.sum()
+        assert weighted == pytest.approx(accuracy(y_true, y_pred))
 
 
-class TestTopKAndDrop:
-    def test_top_1_equals_accuracy(self):
-        scores = np.array([[0.6, 0.4], [0.3, 0.7], [0.8, 0.2]])
-        labels = [0, 1, 1]
-        assert top_k_accuracy(labels, scores, k=1) == accuracy(labels, np.argmax(scores, axis=1))
-
-    def test_top_k_monotone_in_k(self):
-        generator = np.random.default_rng(0)
-        scores = generator.normal(size=(50, 5))
-        labels = generator.integers(0, 5, size=50)
-        values = [top_k_accuracy(labels, scores, k=k) for k in range(1, 6)]
-        assert values == sorted(values)
-        assert values[-1] == 1.0
-
-    def test_top_k_requires_2d_scores(self):
-        with pytest.raises(ValueError):
-            top_k_accuracy([0], np.array([0.5]), k=1)
-
-    def test_top_k_invalid_k(self):
-        with pytest.raises(ValueError):
-            top_k_accuracy([0], np.array([[0.5, 0.5]]), k=0)
-
+class TestAccuracyDrop:
     def test_accuracy_drop_sign(self):
         assert accuracy_drop(0.9, 0.85) == pytest.approx(0.05)
         assert accuracy_drop(0.9, 0.95) == pytest.approx(-0.05)
+
+    def test_no_drop_is_zero(self):
+        assert accuracy_drop(0.875, 0.875) == 0.0

@@ -122,9 +122,6 @@ class TestCloneAndWeights:
         with pytest.raises(ValueError):
             mlp.set_weights(mlp.get_weights()[:-1])
 
-    def test_summary_length(self, mlp):
-        assert len(mlp.summary()) == len(mlp.layers)
-
 
 class TestBackward:
     def test_training_roundtrip_reduces_loss(self):

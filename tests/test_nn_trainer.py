@@ -98,14 +98,6 @@ class TestTrainingBehaviour:
 
         np.testing.assert_array_equal(run(), run())
 
-    def test_string_optimizer_and_loss_accepted(self, problem):
-        features, labels = problem
-        model = build_mlp(4, (4,), 2, seed=0)
-        trainer = Trainer(model, optimizer="sgd", loss="softmax_crossentropy", seed=0)
-        history = trainer.fit(features, labels)
-        assert history.epochs_run >= 1
-
-
 class TestFinetune:
     def test_finetune_improves_perturbed_model(self, problem):
         features, labels = problem

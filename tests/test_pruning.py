@@ -1,4 +1,4 @@
-"""Tests for repro.pruning: magnitude, structured, schedules and the sweep."""
+"""Tests for repro.pruning: magnitude, one-shot pruning and the sweep."""
 
 import numpy as np
 import pytest
@@ -6,18 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.nn import build_mlp
 from repro.pruning import (
-    PruningScheduleConfig,
-    active_neurons_per_layer,
-    gradual_magnitude_pruning,
-    neuron_importance,
     one_shot_pruning,
     prune_by_magnitude,
     prune_layer_by_magnitude,
-    prune_neurons,
     pruning_mask_summary,
     pruning_sweep,
     remove_pruning,
-    sparsity_accuracy_curve,
 )
 
 
@@ -102,48 +96,6 @@ class TestModelPruning:
         assert abs(result.achieved_sparsity - sparsity) < 0.08
 
 
-class TestStructuredPruning:
-    def test_removes_requested_fraction(self):
-        mlp = build_mlp(6, (8,), 3, seed=0)
-        result = prune_neurons(mlp, 0.5)
-        assert result.removed_neurons_per_layer == [4]
-        assert active_neurons_per_layer(mlp)[0] == 4
-
-    def test_outgoing_connections_also_removed(self):
-        mlp = build_mlp(6, (8,), 3, seed=0)
-        prune_neurons(mlp, 0.5)
-        second = mlp.dense_layers[1]
-        removed_rows = np.all(second.effective_weights() == 0.0, axis=1)
-        assert removed_rows.sum() == 4
-
-    def test_min_remaining_respected(self):
-        mlp = build_mlp(4, (3,), 2, seed=0)
-        result = prune_neurons(mlp, 0.9, min_remaining=2)
-        assert active_neurons_per_layer(mlp)[0] >= 2
-        assert result.total_removed <= 1
-
-    def test_importance_scores_positive(self):
-        mlp = build_mlp(5, (6,), 3, seed=0)
-        scores = neuron_importance(mlp, 0)
-        assert scores.shape == (6,)
-        assert np.all(scores >= 0.0)
-
-    def test_importance_invalid_layer(self):
-        mlp = build_mlp(5, (6,), 3, seed=0)
-        with pytest.raises(ValueError):
-            neuron_importance(mlp, 1)
-
-    def test_needs_hidden_layer(self):
-        mlp = build_mlp(5, (), 3, seed=0)
-        with pytest.raises(ValueError):
-            prune_neurons(mlp, 0.5)
-
-    def test_invalid_fraction(self):
-        mlp = build_mlp(5, (4,), 3, seed=0)
-        with pytest.raises(ValueError):
-            prune_neurons(mlp, 1.0)
-
-
 class TestSchedulesAndSweep:
     @pytest.fixture(scope="class")
     def data(self):
@@ -162,23 +114,6 @@ class TestSchedulesAndSweep:
         )
         return model
 
-    def test_schedule_config_validation(self):
-        with pytest.raises(ValueError):
-            PruningScheduleConfig(target_sparsity=1.0)
-        with pytest.raises(ValueError):
-            PruningScheduleConfig(target_sparsity=0.5, n_steps=0)
-
-    def test_schedule_ramp_monotone_and_reaches_target(self):
-        config = PruningScheduleConfig(target_sparsity=0.6, n_steps=5)
-        values = [config.sparsity_at_step(step) for step in range(1, 6)]
-        assert values == sorted(values)
-        assert values[-1] == pytest.approx(0.6)
-
-    def test_cubic_ramp_front_loads_pruning(self):
-        cubic = PruningScheduleConfig(target_sparsity=0.6, n_steps=4, cubic=True)
-        linear = PruningScheduleConfig(target_sparsity=0.6, n_steps=4, cubic=False)
-        assert cubic.sparsity_at_step(1) > linear.sparsity_at_step(1)
-
     def test_one_shot_pruning_with_finetune(self, trained, data):
         candidate = trained.clone()
         baseline_accuracy = trained.evaluate_accuracy(data.test.features, data.test.labels)
@@ -186,19 +121,6 @@ class TestSchedulesAndSweep:
         accuracy = candidate.evaluate_accuracy(data.test.features, data.test.labels)
         assert result.achieved_sparsity == pytest.approx(0.4, abs=0.08)
         assert accuracy >= baseline_accuracy - 0.15
-
-    def test_gradual_pruning_reaches_target(self, trained, data):
-        candidate = trained.clone()
-        config = PruningScheduleConfig(target_sparsity=0.5, n_steps=3, epochs_per_step=3)
-        results = gradual_magnitude_pruning(candidate, data, config, seed=0)
-        assert len(results) == 3
-        assert results[-1].achieved_sparsity == pytest.approx(0.5, abs=0.08)
-
-    def test_sparsity_accuracy_curve_independent_levels(self, trained, data):
-        curve = sparsity_accuracy_curve(trained, data, [0.2, 0.6], finetune_epochs=3, seed=0)
-        assert len(curve) == 2
-        assert curve[0]["target_sparsity"] == 0.2
-        assert trained.sparsity() == 0.0  # original untouched
 
     def test_pruning_sweep_points(self, trained, data):
         points = pruning_sweep(

@@ -11,6 +11,7 @@ prove externally-damaged fronts are skipped, not served or fatal.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from repro.campaign.fabric.chaos import corrupt_record, truncate_tail
 from repro.campaign.journal import REPORT_DIR, write_json_atomic
 from repro.campaign.report import pareto_front
 from repro.core.results import DesignPoint
-from repro.serving import FrontCache, FrontStore, UnknownDatasetError
+from repro.core.lru import LRUCache
+from repro.serving import FrontStore, UnknownDatasetError
 from repro.serving.store import build_columns
 
 BASELINE = {
@@ -197,14 +199,16 @@ def test_front_with_invalid_point_schema_is_skipped(tmp_path):
         FrontStore(campaign).views("seeds")
 
 
-# -- LRU semantics (mirroring EvaluationCache) ---------------------------------------
+# -- LRU semantics (the LRUCache shared with EvaluationCache) ------------------------
 
 
-def test_front_cache_rejects_non_positive_bound():
+def test_lru_cache_rejects_non_positive_bound():
     with pytest.raises(ValueError, match="max_entries must be >= 1"):
-        FrontCache(max_entries=0)
+        LRUCache(max_entries=0)
     with pytest.raises(ValueError, match="max_entries must be >= 1"):
-        FrontCache(max_entries=-3)
+        LRUCache(max_entries=-3)
+    with pytest.raises(ValueError, match="max_entries must be >= 1"):
+        FrontStore("unused", max_entries=0)
 
 
 def test_store_hits_misses_counted(tmp_path):
@@ -254,6 +258,21 @@ def test_rewritten_front_invalidates_cached_view(tmp_path):
     assert store.raw_front("seeds") == FrontStore.front_path(
         campaign, "seeds"
     ).read_bytes()
+
+
+def test_same_size_rewrite_within_one_mtime_tick_is_served(tmp_path):
+    """An atomic rewrite of equal length, with the old mtime, is not served stale."""
+    campaign = make_campaign(tmp_path, "camp", {"seeds": [robust_row(0.9, 2.0)]})
+    store = FrontStore(campaign)
+    path = FrontStore.front_path(campaign, "seeds")
+    before = path.stat()
+    assert store.views("seeds")[0].points[0].accuracy == 0.9
+    write_front(campaign, "seeds", [robust_row(0.8, 2.0)])
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert store.views("seeds")[0].points[0].accuracy == 0.8
+    assert store.raw_front("seeds") == path.read_bytes()
 
 
 def test_refresh_reports_and_drops_stale_views(tmp_path):
