@@ -5,30 +5,30 @@ human-readable, golden-pinned, and what the HTTP layer serves byte-for-
 byte. But a cold query against it pays JSON decode, per-row
 :class:`~repro.core.results.DesignPoint` construction, a Pareto merge and
 a column build before the first constraint mask can run. This module
-persists the end state of that work next to the JSON:
+persists the end state of that work next to the JSON, in four members:
 
-* one ``float64`` array per objective column (:data:`FRONT_COLUMNS`,
-  NaN where a point lacks the optional robustness fields),
-* ``row_index`` (``int64``) pinning row order to the JSON document's
-  ``front`` order,
+* ``meta`` — one ASCII JSON scalar: the ``version`` stamp, ``dataset``,
+  the campaign ``fingerprint`` the report was built under,
+  ``front_sha256`` (the SHA-256 of the sibling JSON bytes), ``robust``
+  and the document's ``baseline`` entry,
+* ``columns`` — one C-order ``float64`` array of shape
+  ``(len(FRONT_COLUMNS), n)``, a row per :data:`FRONT_COLUMNS` entry
+  (NaN where a point lacks the optional robustness fields),
 * ``rows`` — each front row's compact ``json.dumps`` as ASCII bytes, so
   any window of rows decodes (or materializes into a ``DesignPoint``)
-  without touching the rest of the JSON document, and ``baseline`` —
-  the document's baseline entry as JSON,
+  without touching the rest of the JSON document,
 * ``pareto_index`` — the precomputed
-  :func:`~repro.core.pareto.pareto_front_indices` of the front (front
-  order), so the serving layer's default non-dominated view is a slice,
-* a ``version`` stamp, the campaign ``fingerprint`` the report was built
-  under, and ``front_sha256`` — the SHA-256 of the sibling JSON bytes.
+  :func:`~repro.core.pareto.pareto_front_indices` of the front, so the
+  serving layer's default non-dominated view is a slice.
 
-The sha ties the npz to the exact JSON it was derived from: a reader that
-holds the JSON bytes validates the pair in O(1) and falls back to the
-JSON path on any mismatch (stale npz after a partial rewrite, torn file,
-foreign version, including a version-1 file from before ``rows``).
+Row order is the JSON document's ``front`` order. The sha ties the npz
+to the exact JSON it was derived from: a reader that holds the JSON bytes
+validates the pair in O(1) and falls back to the JSON path on any
+mismatch (stale npz after a partial rewrite, torn file, foreign version
+or member set, the version-1 and -2 files of earlier releases included).
 ``np.savez`` stores members uncompressed, so :func:`load_front_npz` maps
 the file once and exposes every column as a read-only zero-copy view
-over the mapping — no decode, no copy, no per-row Python; a row's JSON
-is decoded only when that row is asked for.
+over the mapping; a row's JSON is decoded only when that row is asked for.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from ..core.results import DesignPoint
 from .journal import write_atomic
 
 #: Format version stamped into every npz; readers refuse anything else.
-COLUMNAR_VERSION = 2
+COLUMNAR_VERSION = 3
 
 #: The objective columns every front persists/materializes. Optional
 #: columns (``robust_accuracy``, ``accuracy_std``) hold NaN where a point
@@ -64,29 +64,31 @@ FRONT_COLUMNS: Tuple[str, ...] = (
     "accuracy_std",
 )
 
-_NPY_SUFFIX = ".npy"
+#: The file name of every member of a version-3 npz, sorted; nothing else.
+_MEMBER_FILES = sorted(f"{name}.npy" for name in ("meta", "columns", "rows", "pareto_index"))
 _LOCAL_HEADER_SIZE = 30
 _LOCAL_HEADER_MAGIC = b"PK\x03\x04"
+
+
+def _column_matrix(points: Sequence[DesignPoint]) -> np.ndarray:
+    """The read-only ``(len(FRONT_COLUMNS), n)`` C-order ``float64`` matrix."""
+    matrix = np.empty((len(FRONT_COLUMNS), len(points)), dtype=np.float64)
+    for row, name in enumerate(FRONT_COLUMNS):
+        values = (getattr(point, name) for point in points)
+        matrix[row] = [np.nan if value is None else float(value) for value in values]
+    matrix.flags.writeable = False
+    return matrix
 
 
 def build_columns(points: Sequence[DesignPoint]) -> Dict[str, np.ndarray]:
     """Read-only columnar arrays over a sequence of design points.
 
     One ``float64`` array per :data:`FRONT_COLUMNS` entry, aligned with
-    ``points`` order; optional fields are NaN where absent. Arrays are
-    marked non-writeable so no downstream consumer can mutate a cached
-    view in place.
+    ``points`` order; optional fields are NaN where absent. The arrays are
+    rows of one non-writeable matrix, so no downstream consumer can mutate
+    a cached view in place.
     """
-    n = len(points)
-    columns: Dict[str, np.ndarray] = {}
-    for name in FRONT_COLUMNS:
-        values = np.empty(n, dtype=np.float64)
-        for index, point in enumerate(points):
-            value = getattr(point, name)
-            values[index] = np.nan if value is None else float(value)
-        values.flags.writeable = False
-        columns[name] = values
-    return columns
+    return dict(zip(FRONT_COLUMNS, _column_matrix(points)))
 
 
 def front_npz_path(json_path: Union[str, Path]) -> Path:
@@ -95,9 +97,7 @@ def front_npz_path(json_path: Union[str, Path]) -> Path:
 
 
 def _row_array(entries: Sequence[object]) -> np.ndarray:
-    """Each entry's compact JSON as ASCII bytes (typed even when empty)."""
-    if not entries:
-        return np.array([], dtype="S1")
+    """Each entry's compact JSON as ASCII bytes (``S1`` when empty)."""
     return np.array(
         [json.dumps(entry, separators=(",", ":")).encode("ascii") for entry in entries],
         dtype=np.bytes_,
@@ -127,20 +127,22 @@ def write_front_npz(
         raise ValueError(f"{json_path} does not hold a front document")
     points = [DesignPoint(**entry) for entry in document["front"]]
     robust = bool(points) and all(p.robust_accuracy is not None for p in points)
-    members: Dict[str, object] = {
-        "version": np.int64(COLUMNAR_VERSION),
+    meta = {
+        "version": COLUMNAR_VERSION,
         "dataset": str(document.get("dataset", "")),
         "fingerprint": "" if fingerprint is None else str(fingerprint),
         "front_sha256": hashlib.sha256(raw).hexdigest(),
-        "row_index": np.arange(len(points), dtype=np.int64),
-        "robust": np.bool_(robust),
+        "robust": robust,
+        "baseline": document.get("baseline"),
+    }
+    members = {
+        "meta": np.bytes_(json.dumps(meta).encode("ascii")),
+        "columns": _column_matrix(points),
         "rows": _row_array(document["front"]),
-        "baseline": json.dumps(document.get("baseline")),
         "pareto_index": np.asarray(
             pareto_front_indices(points, robust=robust), dtype=np.int64
         ),
     }
-    members.update(build_columns(points))
     return write_atomic(front_npz_path(json_path), lambda handle: np.savez(handle, **members))
 
 
@@ -156,7 +158,7 @@ class ColumnarFront:
         front_sha256: SHA-256 hex of the sibling JSON's bytes at write time.
         n_rows: number of front rows.
         robust: whether every row carries ``robust_accuracy``.
-        columns: read-only ``float64`` arrays per :data:`FRONT_COLUMNS`.
+        columns: read-only ``float64`` rows of the mapped ``columns`` matrix.
         rows: ``S`` array of each front row's compact JSON, in front order.
         baseline: the document's decoded ``baseline`` entry.
         pareto_index: ``int64`` indices of the non-dominated subset, in
@@ -197,18 +199,20 @@ def _mapped_members(path: Path) -> Dict[str, np.ndarray]:
     payload offset, and the npy header gives dtype/shape — after which the
     array is one ``np.frombuffer`` over the mapping. Arrays keep the
     mapping alive through their ``base`` reference and are read-only
-    because the mapping is. Raises on any structural violation (the
-    caller treats that as corruption).
+    because the mapping is, and the zip is read over it too. Raises on any
+    structural violation, a member set other than the version-3 four
+    included (the caller treats that as corruption).
     """
     arrays: Dict[str, np.ndarray] = {}
     with open(path, "rb") as handle:
         buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    with zipfile.ZipFile(path) as archive:
-        for info in archive.infolist():
+    with zipfile.ZipFile(buffer) as archive:
+        infos = archive.infolist()
+        if sorted(info.filename for info in infos) != _MEMBER_FILES:
+            raise ValueError("foreign member set")
+        for info in infos:
             if info.compress_type != zipfile.ZIP_STORED:
                 raise ValueError(f"compressed member {info.filename!r}")
-            if not info.filename.endswith(_NPY_SUFFIX):
-                raise ValueError(f"foreign member {info.filename!r}")
             header = buffer[info.header_offset : info.header_offset + _LOCAL_HEADER_SIZE]
             if len(header) < _LOCAL_HEADER_SIZE or not header.startswith(_LOCAL_HEADER_MAGIC):
                 raise ValueError(f"torn local header for {info.filename!r}")
@@ -234,7 +238,7 @@ def _mapped_members(path: Path) -> Dict[str, np.ndarray]:
             array = np.frombuffer(
                 buffer, dtype=dtype, count=count, offset=payload_offset + npy_header.tell()
             ).reshape(shape)
-            arrays[info.filename[: -len(_NPY_SUFFIX)]] = array
+            arrays[info.filename[: -len(".npy")]] = array
     return arrays
 
 
@@ -254,46 +258,38 @@ def load_front_npz(
     path = Path(path)
     try:
         arrays = _mapped_members(path)
-        version = int(arrays["version"][()])
-        if version != COLUMNAR_VERSION:
+        meta = json.loads(arrays["meta"][()])
+        if meta["version"] != COLUMNAR_VERSION:
             return None
-        sha = str(arrays["front_sha256"][()])
+        sha = str(meta["front_sha256"])
         if expected_sha256 is not None and sha != expected_sha256:
             return None
-        stamped_dataset = str(arrays["dataset"][()])
+        stamped_dataset = str(meta["dataset"])
         if dataset is not None and stamped_dataset != dataset:
             return None
-        row_index = arrays["row_index"]
-        n_rows = int(row_index.shape[0])
-        if not np.array_equal(row_index, np.arange(n_rows, dtype=np.int64)):
+        matrix = arrays["columns"]
+        if matrix.dtype != np.float64 or matrix.ndim != 2 or len(matrix) != len(FRONT_COLUMNS):
             return None
-        columns: Dict[str, np.ndarray] = {}
-        for name in FRONT_COLUMNS:
-            column = arrays[name]
-            if column.dtype != np.float64 or column.shape != (n_rows,):
-                return None
-            columns[name] = column
+        n_rows = int(matrix.shape[1])
         rows = arrays["rows"]
         if rows.dtype.kind != "S" or rows.shape != (n_rows,):
             return None
         pareto_index = arrays["pareto_index"]
         if pareto_index.dtype != np.int64 or pareto_index.ndim != 1:
             return None
-        if pareto_index.size and (
-            pareto_index.min() < 0 or pareto_index.max() >= n_rows
-        ):
+        if pareto_index.size and (pareto_index.min() < 0 or pareto_index.max() >= n_rows):
             return None
         return ColumnarFront(
             path=path,
-            version=version,
+            version=COLUMNAR_VERSION,
             dataset=stamped_dataset,
-            fingerprint=str(arrays["fingerprint"][()]),
+            fingerprint=str(meta["fingerprint"]),
             front_sha256=sha,
             n_rows=n_rows,
-            robust=bool(arrays["robust"][()]),
-            columns=columns,
+            robust=bool(meta["robust"]),
+            columns=dict(zip(FRONT_COLUMNS, matrix)),
             rows=rows,
-            baseline=json.loads(str(arrays["baseline"][()])),
+            baseline=meta["baseline"],
             pareto_index=pareto_index,
         )
     except Exception:  # noqa: BLE001 - any damage means "no columnar view"

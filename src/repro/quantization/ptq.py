@@ -1,9 +1,9 @@
 """Post-training quantization (PTQ).
 
 PTQ quantizes an already-trained model without any retraining. The paper
-uses QAT (via QKeras) for its quantization Pareto fronts; PTQ is implemented
-as the cheaper alternative used by the QAT-vs-PTQ ablation benchmark and as
-the fallback inside the genetic search when fine-tuning is disabled.
+uses QAT (via QKeras) for its quantization Pareto fronts; PTQ is the cheaper
+alternative ``quantization_sweep(use_qat=False)`` runs for the ``qat_vs_ptq``
+ablation. The genetic search never calls it, fine-tuning or not.
 """
 
 from __future__ import annotations

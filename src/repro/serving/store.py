@@ -238,14 +238,14 @@ class FrontView:
 
     @property
     def pareto_columns(self) -> Mapping[str, np.ndarray]:
-        """Columnar arrays over the non-dominated subset (read-only)."""
+        """Read-only columns of the non-dominated rows (:attr:`columns` if none is dominated)."""
         if self._pareto_columns is None:
-            sliced: Dict[str, np.ndarray] = {}
-            for name, values in self.columns.items():
-                column = values[self.pareto_index]
-                column.flags.writeable = False
-                sliced[name] = column
-            self._pareto_columns = sliced
+            if np.array_equal(self.pareto_index, np.arange(self.n_points)):
+                self._pareto_columns = self.columns
+            else:
+                matrix = np.stack([values[self.pareto_index] for values in self.columns.values()])
+                matrix.flags.writeable = False
+                self._pareto_columns = dict(zip(self.columns, matrix))
         return self._pareto_columns
 
 
@@ -357,8 +357,10 @@ class FrontStore:
             return None
         return (stat.st_mtime_ns, stat.st_size, stat.st_ino, self._fingerprints.get(campaign))
 
-    def _load_view(self, campaign: Path, dataset: str) -> Optional[FrontView]:
-        """Load one front; ``None`` if missing or corrupt.
+    def _load_view(
+        self, campaign: Path, dataset: str, signature: Optional[Tuple[object, ...]]
+    ) -> Optional[FrontView]:
+        """Load one front under its pre-read stat ``signature``; ``None`` if missing or corrupt.
 
         Prefers the columnar ``front_<dataset>.npz`` sibling when its
         embedded SHA-256 matches the JSON bytes about to be served — an
@@ -372,7 +374,6 @@ class FrontStore:
         campaigns still cover the dataset, and :meth:`refresh` will pick
         the file up once repaired.
         """
-        signature = self._signature(campaign, dataset)
         if signature is None:
             return None
         path = self.front_path(campaign, dataset)
@@ -391,7 +392,7 @@ class FrontStore:
                 raw=raw,
                 robust=columnar.robust,
                 fault_rate=self._campaign_fault_rate(campaign),
-                columns=dict(columnar.columns),
+                columns=columnar.columns,
                 pareto_index=columnar.pareto_index,
                 fingerprint=fingerprint,
                 source="npz",
@@ -453,7 +454,7 @@ class FrontStore:
                 self._cache.hits += 1
                 return cached
             self._cache.misses += 1
-        view = self._load_view(campaign, dataset)
+        view = self._load_view(campaign, dataset, signature)
         with self._lock:
             if view is None:
                 self._cache.pop(key)

@@ -9,6 +9,7 @@ degrade it to the canonical JSON path.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -25,6 +26,7 @@ from repro.campaign.columnar import (
     write_front_npz,
 )
 from repro.campaign.journal import REPORT_DIR, write_json_atomic
+from repro.campaign.report import write_report
 from repro.core.pareto import pareto_front, pareto_front_indices, pareto_front_reference
 from repro.core.results import DesignPoint
 from repro.serving import FrontStore, QueryEngine
@@ -108,6 +110,24 @@ def test_npz_round_trips_every_column_and_row(campaign):
     assert list(columnar.pareto_index) == pareto_front_indices(points)
 
 
+def test_plain_np_load_reads_exactly_the_four_members(campaign):
+    _, json_path = campaign
+    with np.load(front_npz_path(json_path), allow_pickle=False) as npz:
+        assert sorted(npz.files) == ["columns", "meta", "pareto_index", "rows"]
+        meta = json.loads(npz["meta"][()])
+        columns = npz["columns"]
+    assert meta == {
+        "version": COLUMNAR_VERSION,
+        "dataset": "seeds",
+        "fingerprint": "test-fingerprint",
+        "front_sha256": hashlib.sha256(json_path.read_bytes()).hexdigest(),
+        "robust": False,
+        "baseline": DOC["baseline"],
+    }
+    assert columns.dtype == np.float64 and columns.flags.c_contiguous
+    assert columns.shape == (len(FRONT_COLUMNS), len(DOC["front"]))
+
+
 def test_npz_arrays_are_read_only_zero_copy_views(campaign):
     _, json_path = campaign
     columnar = load_front_npz(front_npz_path(json_path))
@@ -120,8 +140,6 @@ def test_npz_arrays_are_read_only_zero_copy_views(campaign):
 
 def test_npz_sha_ties_to_the_exact_json_bytes(campaign):
     _, json_path = campaign
-    import hashlib
-
     sha = hashlib.sha256(json_path.read_bytes()).hexdigest()
     assert load_front_npz(front_npz_path(json_path), expected_sha256=sha) is not None
     assert load_front_npz(front_npz_path(json_path), expected_sha256="0" * 64) is None
@@ -165,13 +183,65 @@ def test_missing_npz_loads_as_none(tmp_path):
     assert load_front_npz(tmp_path / "nope.npz") is None
 
 
+def read_members(npz_path):
+    """Every member of an npz, with ``meta`` decoded."""
+    with np.load(npz_path, allow_pickle=False) as npz:
+        members = dict(npz)
+    members["meta"] = json.loads(members["meta"][()])
+    return members
+
+
+def save_members(npz_path, members):
+    """Write ``members`` back, ``meta`` re-encoded as the writer does."""
+    members = dict(members, meta=np.bytes_(json.dumps(members["meta"]).encode("ascii")))
+    np.savez(npz_path, **members)
+
+
 def test_foreign_version_npz_loads_as_none(tmp_path):
     _, json_path = write_campaign(tmp_path, DOC)
     npz_path = front_npz_path(json_path)
-    members = dict(np.load(npz_path, allow_pickle=False))
-    members["version"] = np.int64(COLUMNAR_VERSION + 1)
+    members = read_members(npz_path)
+    save_members(npz_path, members)
+    assert load_front_npz(npz_path) is not None  # the rewrite alone is harmless
+    members["meta"]["version"] = COLUMNAR_VERSION + 1
+    save_members(npz_path, members)
+    assert load_front_npz(npz_path) is None
+
+
+@pytest.mark.parametrize("member", ["meta", "columns", "rows", "pareto_index"])
+def test_npz_missing_a_member_loads_as_none(tmp_path, member):
+    _, json_path = write_campaign(tmp_path, DOC)
+    npz_path = front_npz_path(json_path)
+    with np.load(npz_path, allow_pickle=False) as npz:
+        members = dict(npz)
+    del members[member]
     np.savez(npz_path, **members)
     assert load_front_npz(npz_path) is None
+
+
+def test_npz_with_an_extra_member_loads_as_none(tmp_path):
+    _, json_path = write_campaign(tmp_path, DOC)
+    npz_path = front_npz_path(json_path)
+    with np.load(npz_path, allow_pickle=False) as npz:
+        members = dict(npz)
+    np.savez(npz_path, **members, row_index=np.arange(len(DOC["front"])))
+    assert load_front_npz(npz_path) is None
+
+
+def test_npz_with_a_misshapen_member_loads_as_none(tmp_path):
+    _, json_path = write_campaign(tmp_path, DOC)
+    npz_path = front_npz_path(json_path)
+    members = read_members(npz_path)
+    bad = {
+        "columns-transposed": dict(members, columns=np.ascontiguousarray(members["columns"].T)),
+        "columns-float32": dict(members, columns=members["columns"].astype(np.float32)),
+        "rows-short": dict(members, rows=members["rows"][:-1]),
+        "pareto-out-of-range": dict(members, pareto_index=np.array([0, 3], dtype=np.int64)),
+        "meta-not-a-dict": dict(members, meta=[COLUMNAR_VERSION]),
+    }
+    for label, damaged in bad.items():
+        save_members(npz_path, damaged)
+        assert load_front_npz(npz_path) is None, label
 
 
 def test_store_falls_back_to_json_when_npz_is_torn(tmp_path):
@@ -233,9 +303,29 @@ GOLDEN_PAYLOADS = (
 )
 
 
-def test_npz_and_json_stores_answer_golden_queries_identically(tmp_path):
-    npz_campaign, _ = write_campaign(tmp_path, DOC, name="with-npz")
-    json_campaign, _ = write_campaign(tmp_path, DOC, with_npz=False, name="json-only")
+def write_report_campaign(root, document, name):
+    """One campaign whose front the report writer wrote: ``document``'s Pareto front."""
+    points = [DesignPoint(**entry) for entry in document["front"]]
+    front = [point.as_dict() for point in pareto_front(points)]
+    campaign = Path(root) / name
+    write_report(campaign, {
+        "name": name, "fingerprint": "test-fingerprint", "n_jobs_total": 1,
+        "n_jobs_completed": 1,
+        "datasets": {document["dataset"]: {
+            "jobs": [], "combined_front": front, "combined_front_size": len(front),
+            "baseline": document["baseline"], "combined_best_gain": None,
+        }},
+    })
+    return campaign, campaign / REPORT_DIR / f"front_{document['dataset']}.json"
+
+
+@pytest.mark.parametrize("written_by", ["hand", "report"])
+def test_npz_and_json_stores_answer_golden_queries_identically(tmp_path, written_by):
+    """Both ``pareto_columns`` branches: DOC has a dominated row, a report front none."""
+    write = write_campaign if written_by == "hand" else write_report_campaign
+    npz_campaign, _ = write(tmp_path, DOC, name="with-npz")
+    json_campaign, json_path = write(tmp_path, DOC, name="json-only")
+    front_npz_path(json_path).unlink(missing_ok=True)
     npz_engine = QueryEngine(FrontStore(npz_campaign))
     json_engine = QueryEngine(FrontStore(json_campaign))
     assert query_documents(npz_engine, GOLDEN_PAYLOADS) == query_documents(
@@ -244,6 +334,9 @@ def test_npz_and_json_stores_answer_golden_queries_identically(tmp_path):
     # Both actually took the path under test.
     assert npz_engine.store.stats()["npz_loads"] >= 1
     assert json_engine.store.stats()["json_loads"] >= 1
+    for engine in (npz_engine, json_engine):
+        view = engine.store.view(engine.store.campaigns[0], "seeds")
+        assert (view.pareto_columns is view.columns) == (written_by == "report")
 
 
 @settings(max_examples=40, deadline=None)

@@ -80,21 +80,36 @@ def write_front(campaign, doc, npz=True):
     return json_path
 
 
-def write_v1_npz(json_path):
-    """A version-1 npz (technique/parameters_json members) sha-tied to the JSON."""
+def write_old_npz(json_path, version):
+    """A version-1 or version-2 npz, sha-tied to the JSON, as those releases wrote it.
+
+    Both kept the stamps in scalar members and one array per column next to
+    ``row_index``; version 1 stored ``technique``/``parameters_json``,
+    version 2 each row's compact JSON (``rows``) and the ``baseline``.
+    """
     raw = json_path.read_bytes()
-    points = [DesignPoint(**entry) for entry in json.loads(raw)["front"]]
+    document = json.loads(raw)
+    points = [DesignPoint(**entry) for entry in document["front"]]
     members = {
-        "version": np.int64(1),
+        "version": np.int64(version),
         "dataset": "seeds",
         "fingerprint": "",
         "front_sha256": hashlib.sha256(raw).hexdigest(),
         "row_index": np.arange(len(points), dtype=np.int64),
         "robust": np.bool_(False),
-        "technique": np.array([p.technique for p in points]),
-        "parameters_json": np.array([json.dumps(p.parameters, sort_keys=True) for p in points]),
         "pareto_index": np.asarray(pareto_front_indices(points), dtype=np.int64),
     }
+    if version == 1:
+        members["technique"] = np.array([p.technique for p in points])
+        members["parameters_json"] = np.array(
+            [json.dumps(p.parameters, sort_keys=True) for p in points]
+        )
+    else:
+        members["rows"] = np.array(
+            [json.dumps(entry, separators=(",", ":")).encode("ascii")
+             for entry in document["front"]]
+        )
+        members["baseline"] = json.dumps(document["baseline"])
     members.update(build_columns(points))
     with open(front_npz_path(json_path), "wb") as handle:
         np.savez(handle, **members)
@@ -107,8 +122,8 @@ def build_store(tmp_path, kind):
     json_path = write_front(campaign, document(ROWS), npz=kind != "json")
     if kind == "torn":
         front_npz_path(json_path).write_bytes(b"PK\x03\x04torn")
-    if kind == "v1":
-        write_v1_npz(json_path)
+    if kind in ("v1", "v2"):
+        write_old_npz(json_path, version=int(kind[1]))
     if kind != "union":
         return FrontStore(campaign), "npz" if kind == "npz" else "json"
     other = tmp_path / "other"
@@ -139,7 +154,7 @@ def decode_and_slice(raw, dataset, query_string):
     return (json.dumps(page) + "\n").encode("utf-8")
 
 
-@pytest.mark.parametrize("kind", ["npz", "json", "torn", "v1", "union"])
+@pytest.mark.parametrize("kind", ["npz", "json", "torn", "v1", "v2", "union"])
 def test_pages_match_decode_and_slice_bytes(tmp_path, kind):
     store, source = build_store(tmp_path, kind)
     server, _thread = start_server(store)
@@ -208,11 +223,12 @@ def test_npz_baseline_reads_the_stored_entry(tmp_path):
     assert view._document is None  # answered without decoding the document
 
 
-def test_v1_npz_is_refused(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_version_npz_is_refused(tmp_path, version):
     campaign = tmp_path / "camp"
     (campaign / REPORT_DIR).mkdir(parents=True)
     json_path = write_front(campaign, document(ROWS), npz=False)
-    write_v1_npz(json_path)
+    write_old_npz(json_path, version)
     assert load_front_npz(front_npz_path(json_path)) is None
 
 
