@@ -71,24 +71,22 @@ class SimulatedCrash(RuntimeError):
 def _pipeline_payload(config: PipelineConfig) -> Dict[str, object]:
     """The part of a pipeline configuration that cached results depend on.
 
-    Surrogate-search knobs are excluded on purpose: they steer *which*
-    genomes get evaluated, never what an evaluation returns (nor the trained
-    baseline), so surrogate-assisted and plain searches share one context
-    and one baseline — the surrogate trainer feeds on exactly the records
-    the plain search produced (and keys stay stable across builds that
-    added the knobs).
+    Earlier builds kept the engine and fault knobs (and an array-backend
+    knob) on the pipeline configuration; the payload keeps the unset values
+    they hashed so their cache shards and stored baselines still match.
+    The worker count is pinned too: parallel evaluation is bit-identical to
+    serial, so a cache written with any ``n_workers`` serves every other.
     """
     pipeline = asdict(config)
-    for search_only_knob in (
-        "surrogate",
-        "surrogate_candidates",
-        "surrogate_prefilter",
-        "halving_budgets",
-    ):
-        pipeline.pop(search_only_knob, None)
-    # Earlier builds had an array-backend knob; the payload keeps the value
-    # they hashed (the unset knob) so their cache shards still match.
-    pipeline["backend"] = None
+    pipeline.update(
+        n_workers=1,
+        stacked=True,
+        cache_size=None,
+        fault_rate=0.0,
+        n_fault_trials=0,
+        fault_model="open",
+        backend=None,
+    )
     return pipeline
 
 

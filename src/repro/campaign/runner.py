@@ -33,7 +33,7 @@ from ..core.pipeline import MinimizationPipeline
 from ..search.evaluator import EvaluationCache
 from ..search.exhaustive import grid_search, random_search
 from ..search.ga import GAConfig, HardwareAwareGA
-from ..search.settings import resolve_evaluation_settings
+from ..search.settings import FAULT_KNOBS, resolve_evaluation_settings
 from .cache import (
     PersistentEvaluationCache,
     baseline_key,
@@ -120,17 +120,13 @@ def execute_job(
     ga_config: Optional[GAConfig] = None
     if job.algorithm == "ga":
         ga_config = GAConfig(**params, seed=job.seed)
-        # Every knob (fault settings) resolves exactly as
-        # HardwareAwareGA would resolve it (GA params first, pipeline
-        # overrides as the fallback), so the cache context key and the
-        # search agree on what was evaluated.
-        settings = resolve_evaluation_settings(config, ga_config=ga_config)
+        # The search and the cache context key use the same settings.
+        settings = resolve_evaluation_settings(ga_config=ga_config)
         cache_bound = ga_config.cache_size
     else:
-        settings = resolve_evaluation_settings(config)
-        cache_bound = config.cache_size
-    if cache_bound is None:
-        cache_bound = config.cache_size
+        fault_knobs = {name: params.pop(name) for name in FAULT_KNOBS if name in params}
+        settings = resolve_evaluation_settings(config, **fault_knobs)
+        cache_bound = None
 
     cache: Optional[EvaluationCache] = None
     cache_stats: Dict[str, object] = {"enabled": bool(use_cache)}

@@ -23,6 +23,8 @@ Spec layout::
         n_generations: 3
       - algorithm: random
         n_evaluations: 16
+        fault_rate: 0.05              # fault knobs: on any search entry
+        n_fault_trials: 4
 
 Job identity is ``{dataset}-{search name}-s{seed}``, and
 :meth:`CampaignSpec.fingerprint` hashes the canonical spec so a resumed
@@ -40,22 +42,22 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.config import PipelineConfig, fast_config
 from ..datasets.registry import resolve_dataset_names
+from ..search.settings import FAULT_KNOBS
 
 #: Search algorithms a campaign job may request.
 ALGORITHMS: Tuple[str, ...] = ("ga", "random", "grid")
 
 #: Per-algorithm search parameters accepted in a spec (beyond ``algorithm``/``name``).
-_GA_PARAMS = frozenset(
+_FAULT_PARAMS = frozenset(FAULT_KNOBS)
+_GA_PARAMS = _FAULT_PARAMS | frozenset(
     {
         "population_size",
         "n_generations",
         "mutation_rate",
         "crossover_rate",
         "finetune_epochs",
+        "stacked",
         "cache_size",
-        "fault_rate",
-        "n_fault_trials",
-        "fault_model",
         "surrogate",
         "surrogate_candidates",
         "surrogate_prefilter",
@@ -65,8 +67,8 @@ _GA_PARAMS = frozenset(
         "cluster_choices",
     }
 )
-_RANDOM_PARAMS = frozenset({"n_evaluations"})
-_GRID_PARAMS = frozenset({"bit_choices", "sparsity_choices", "cluster_choices"})
+_RANDOM_PARAMS = frozenset({"n_evaluations"}) | _FAULT_PARAMS
+_GRID_PARAMS = frozenset({"bit_choices", "sparsity_choices", "cluster_choices"}) | _FAULT_PARAMS
 _SEARCH_PARAMS = {"ga": _GA_PARAMS, "random": _RANDOM_PARAMS, "grid": _GRID_PARAMS}
 
 #: Search names become path components of ``jobs/<job_id>/`` — keep them safe.
@@ -76,6 +78,16 @@ _SEARCH_NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 _PIPELINE_PARAMS = frozenset(
     {f.name for f in fields(PipelineConfig)} - {"dataset", "seed"} | {"fast"}
 )
+
+#: Search knobs that earlier builds also accepted under ``pipeline``.
+_MOVED_TO_SEARCH = _FAULT_PARAMS | {
+    "stacked",
+    "cache_size",
+    "surrogate",
+    "surrogate_candidates",
+    "surrogate_prefilter",
+    "halving_budgets",
+}
 
 
 def _canonical_json(payload: object) -> str:
@@ -93,7 +105,8 @@ class SearchSpec:
             unique within a campaign).
         params: algorithm parameters — :class:`~repro.search.ga.GAConfig`
             fields for ``ga``, ``n_evaluations`` for ``random``, the three
-            gene alphabets for ``grid``.
+            gene alphabets for ``grid``; ``random`` and ``grid`` also take
+            the three fault-injection knobs.
     """
 
     algorithm: str
@@ -278,6 +291,13 @@ class CampaignSpec:
         # collide on job_id and run the same job twice.
         seeds = tuple(dict.fromkeys(int(seed) for seed in seeds_data))  # type: ignore[union-attr]
         pipeline_data = dict(entry.pop("pipeline", {}) or {})
+        moved = sorted(set(pipeline_data) & _MOVED_TO_SEARCH)
+        if moved:
+            raise ValueError(
+                f"Pipeline overrides {moved} are search settings: set them on "
+                "the search entry instead (the fault knobs on any entry, the "
+                "others on 'ga' entries)"
+            )
         unknown = set(pipeline_data) - _PIPELINE_PARAMS
         if unknown:
             raise ValueError(

@@ -42,10 +42,10 @@ from .quantization import QATConfig, quantize_aware_train
 from .search import GAConfig
 
 
-def _pipeline_config(dataset: str, fast: bool, seed: int, workers: int = 1) -> PipelineConfig:
+def _pipeline_config(dataset: str, fast: bool, seed: int) -> PipelineConfig:
     if fast:
-        return fast_config(dataset, seed=seed, n_workers=workers)
-    return PipelineConfig(dataset=dataset, seed=seed, n_workers=workers)
+        return fast_config(dataset, seed=seed)
+    return PipelineConfig(dataset=dataset, seed=seed)
 
 
 def _cache_size_argument(value: str) -> int:
@@ -120,7 +120,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     for dataset in _datasets_argument(args.dataset):
         row = baseline_for(
             dataset,
-            config=_pipeline_config(dataset, args.fast, args.seed, args.workers),
+            config=_pipeline_config(dataset, args.fast, args.seed),
         )
         print(row.format())
     return 0
@@ -129,7 +129,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 def _cmd_figure1(args: argparse.Namespace) -> int:
     gains_by_dataset = {}
     for dataset in _datasets_argument(args.dataset):
-        config = _pipeline_config(dataset, args.fast, args.seed, args.workers)
+        config = _pipeline_config(dataset, args.fast, args.seed)
         panel = run_figure1_panel(dataset, config=config)
         gains_by_dataset[dataset] = panel.area_gains
         print()
@@ -147,7 +147,7 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
-    config = _pipeline_config(args.dataset, args.fast, args.seed, args.workers)
+    config = _pipeline_config(args.dataset, args.fast, args.seed)
     ga_config = GAConfig(
         population_size=args.population,
         n_generations=args.generations,
@@ -185,7 +185,7 @@ def _cmd_ablations(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    config = _pipeline_config(args.dataset, args.fast, args.seed, args.workers)
+    config = _pipeline_config(args.dataset, args.fast, args.seed)
     pipeline = MinimizationPipeline(config)
     prepared = pipeline.prepare()
     model = prepared.baseline_model.clone()
@@ -446,12 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--fast", action="store_true",
                          help="reduced-cost settings (smaller data, fewer epochs)")
         sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--workers", type=_workers_argument, default=1,
-                         help="worker processes for search fitness evaluation "
-                              "(1 = serial, 0 = all cores); used by figure2's "
-                              "GA — other subcommands only carry it in their "
-                              "pipeline config. Results are bit-identical at "
-                              "any worker count")
         sub.add_argument("--profile", action="store_true",
                          help="print a stage-timing breakdown after the run: "
                               "the search stages (ga_selection / ga_sort / "
@@ -459,9 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "surrogate_rank / halving when --surrogate is "
                               "on) plus the per-genome stages "
                               "(evaluate_genome, finetune, synthesize, ...); "
-                              "profiles the driver process only, so combine "
-                              "with serial evaluation (--workers 1) for the "
-                              "evaluation breakdown")
+                              "profiles the driver process only, so run "
+                              "figure2 with --workers 1 for the evaluation "
+                              "breakdown")
 
     baseline = subparsers.add_parser("baseline", help="train + synthesize the bespoke baselines")
     add_common(baseline, None)
@@ -475,6 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure2 = subparsers.add_parser("figure2", help="hardware-aware GA (Figure 2)")
     add_common(figure2, "whitewine")
+    figure2.add_argument("--workers", type=_workers_argument, default=1,
+                         help="worker processes for the GA's fitness "
+                              "evaluation (1 = serial, 0 = all cores); "
+                              "results are bit-identical at any worker count")
     figure2.add_argument("--population", type=int, default=16)
     figure2.add_argument("--generations", type=int, default=8)
     figure2.add_argument("--finetune-epochs", type=int, default=6)
@@ -483,26 +481,29 @@ def build_parser() -> argparse.ArgumentParser:
                               "batching each generation through the stacked "
                               "tensor path (results are byte-identical "
                               "either way; stacked is faster)")
-    figure2.add_argument("--cache-size", type=_cache_size_argument, default=None,
+    figure2.add_argument("--cache-size", type=_cache_size_argument,
+                         default=GAConfig.cache_size,
                          help="LRU bound on the genome evaluation cache "
                               "(default: unbounded). Bounding trades "
                               "occasional re-evaluation of evicted genomes "
                               "for a memory ceiling on long searches")
-    figure2.add_argument("--fault-rate", type=_fault_rate_argument, default=None,
+    figure2.add_argument("--fault-rate", type=_fault_rate_argument,
+                         default=GAConfig.fault_rate,
                          help="enable robustness-aware search: fraction of "
                               "hard-wired connections hit per Monte-Carlo "
                               "fault-injection trial (combine with "
                               "--fault-trials; adds fault tolerance as a "
                               "third NSGA-II objective and "
                               "robust_accuracy/accuracy_std per design)")
-    figure2.add_argument("--fault-trials", type=_fault_trials_argument, default=None,
+    figure2.add_argument("--fault-trials", type=_fault_trials_argument,
+                         default=GAConfig.n_fault_trials,
                          help="Monte-Carlo trials per design point "
                               "(default 0 = robustness off)")
-    figure2.add_argument("--fault-model", default=None,
+    figure2.add_argument("--fault-model", default=GAConfig.fault_model,
                          choices=["open", "short", "level_shift"],
                          help="defect mechanism injected per trial "
                               "(default: open)")
-    figure2.add_argument("--surrogate", default=None,
+    figure2.add_argument("--surrogate", default=GAConfig.surrogate,
                          choices=["ridge", "mlp"],
                          help="enable surrogate-assisted search: an "
                               "online-trained predictor prefilters offspring "
@@ -512,17 +513,20 @@ def build_parser() -> argparse.ArgumentParser:
                               "are byte-identical to builds without the "
                               "surrogate)")
     figure2.add_argument("--surrogate-candidates",
-                         type=_surrogate_candidates_argument, default=None,
+                         type=_surrogate_candidates_argument,
+                         default=GAConfig.surrogate_candidates,
                          help="candidate-pool multiplier: the surrogate "
                               "scores this many times --population offspring "
                               "per generation (default 4)")
     figure2.add_argument("--surrogate-prefilter",
-                         type=_surrogate_prefilter_argument, default=None,
+                         type=_surrogate_prefilter_argument,
+                         default=GAConfig.surrogate_prefilter,
                          help="fraction of the population size evaluated "
                               "for real per generation, in (0, 1] "
                               "(default 0.25)")
     figure2.add_argument("--halving-budgets",
-                         type=_halving_budgets_argument, default=None,
+                         type=_halving_budgets_argument,
+                         default=GAConfig.halving_budgets,
                          metavar="E1,E2,...",
                          help="successive-halving rungs: ascending short "
                               "fine-tuning budgets (epochs) racing surrogate "

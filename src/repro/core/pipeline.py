@@ -223,10 +223,9 @@ class MinimizationPipeline:
     def combined_search(self, ga_config=None):
         """Run the hardware-aware GA (Figure 2's search) on this pipeline.
 
-        The GA inherits the pipeline's evaluation engine configuration —
-        ``n_workers``, ``stacked`` population batching and the evaluation
-        cache's ``cache_size`` bound — unless ``ga_config`` overrides them.
-        Returns a :class:`~repro.search.ga.GAResult`.
+        Search knobs come from ``ga_config``; its worker count falls back
+        to the pipeline's ``n_workers`` when unset. Returns a
+        :class:`~repro.search.ga.GAResult`.
         """
         # Deferred import: repro.search imports this module.
         from ..search.ga import GAConfig, run_combined_search

@@ -19,7 +19,6 @@ from ..core import profiling
 from ..core.pareto import dominates, pareto_front
 from ..core.pipeline import PreparedPipeline
 from ..core.results import DesignPoint
-from ..reliability.fault_injection import FAULT_MODELS
 from .genome import (
     DEFAULT_BIT_CHOICES,
     DEFAULT_CLUSTER_CHOICES,
@@ -53,39 +52,40 @@ class GAConfig:
             prepared pipeline's configuration, 1 = serial, 0 = all cores).
             Parallel runs are bit-identical to serial ones.
         stacked: evaluate each generation as one stacked tensor program
-            (``None`` inherits the prepared pipeline's configuration,
-            default on). Stacked, per-genome and parallel evaluation all
+            (default on). Stacked, per-genome and parallel evaluation all
             produce byte-identical fronts; stacked is simply faster at
             population scale.
-        cache_size: LRU bound on the genome evaluation cache (``None``
-            inherits the pipeline configuration; unbounded by default).
+        cache_size: LRU bound on the genome evaluation cache (``None`` =
+            unbounded, the default). A bound trades memory for occasional
+            deterministic re-evaluations of evicted genomes.
         fault_rate / n_fault_trials / fault_model: Monte-Carlo fault
-            injection during evaluation (``None`` entries inherit the
-            prepared pipeline's configuration; off by default). When
-            enabled, every design point gains ``robust_accuracy`` /
-            ``accuracy_std`` and the NSGA-II ranking, survivor selection
-            and Pareto archive all optimize fault tolerance as a third
-            objective. Disabled searches are byte-identical to
-            pre-robustness builds.
+            injection during evaluation (off by default: rate 0.0, 0
+            trials, ``"open"`` defects). When enabled, every design point
+            gains ``robust_accuracy`` / ``accuracy_std`` and the NSGA-II
+            ranking, survivor selection and Pareto archive all optimize
+            fault tolerance as a third objective. Disabled searches are
+            byte-identical to pre-robustness builds.
         surrogate: surrogate model name enabling surrogate-assisted search
-            (``"ridge"`` or ``"mlp"``; ``None`` inherits the pipeline
-            configuration, off by default). When enabled, each generation
-            breeds ``surrogate_candidates`` x ``population_size`` candidate
-            offspring, ranks them with an online-trained predictor
-            (:mod:`repro.surrogate`), and spends real stacked-QAT
-            evaluations only on the top ``surrogate_prefilter`` fraction of
-            the population size. Reported fronts contain only really
-            measured points; disabled searches are byte-identical to
-            pre-surrogate builds. See ``docs/surrogate.md``.
+            (``"ridge"`` or ``"mlp"``; ``None`` = off, the default). When
+            enabled, each generation breeds ``surrogate_candidates`` x
+            ``population_size`` candidate offspring, ranks them with an
+            online-trained predictor (:mod:`repro.surrogate`), and spends
+            real stacked-QAT evaluations only on the top
+            ``surrogate_prefilter`` fraction of the population size.
+            Reported fronts contain only really measured points; disabled
+            searches are byte-identical to pre-surrogate builds. Surrogate
+            knobs steer *which* genomes are evaluated, never what an
+            evaluation returns. See ``docs/surrogate.md``.
         surrogate_candidates: candidate-pool multiplier k (the surrogate
-            scores k x population_size offspring per generation).
+            scores k x population_size offspring per generation; default 4).
         surrogate_prefilter: fraction of the population size that gets a
-            real full-budget evaluation per generation (in ``(0, 1]``).
+            real full-budget evaluation per generation (in ``(0, 1]``;
+            default 0.25).
         halving_budgets: ascending short fine-tuning budgets (epochs) for
             successive halving between the surrogate prefilter and the full
             evaluation — survivors race through cheap short-epoch real
             evaluations, and only the NSGA-II-best half promotes per rung.
-            ``None``/empty disables halving.
+            Empty (the default) disables halving.
         bit_choices / sparsity_choices / cluster_choices: gene alphabets.
     """
 
@@ -96,15 +96,15 @@ class GAConfig:
     finetune_epochs: int = 8
     seed: int = 0
     n_workers: Optional[int] = None
-    stacked: Optional[bool] = None
+    stacked: bool = True
     cache_size: Optional[int] = None
-    fault_rate: Optional[float] = None
-    n_fault_trials: Optional[int] = None
-    fault_model: Optional[str] = None
+    fault_rate: float = 0.0
+    n_fault_trials: int = 0
+    fault_model: str = "open"
     surrogate: Optional[str] = None
-    surrogate_candidates: Optional[int] = None
-    surrogate_prefilter: Optional[float] = None
-    halving_budgets: Optional[Sequence[int]] = None
+    surrogate_candidates: int = 4
+    surrogate_prefilter: float = 0.25
+    halving_budgets: Sequence[int] = ()
     bit_choices: Sequence[int] = DEFAULT_BIT_CHOICES
     sparsity_choices: Sequence[float] = DEFAULT_SPARSITY_CHOICES
     cluster_choices: Sequence[int] = DEFAULT_CLUSTER_CHOICES
@@ -120,38 +120,24 @@ class GAConfig:
             raise ValueError("crossover_rate must be in [0, 1]")
         if self.cache_size is not None and self.cache_size < 1:
             raise ValueError(f"cache_size must be >= 1, got {self.cache_size}")
-        if self.fault_rate is not None and not 0.0 <= self.fault_rate <= 1.0:
-            raise ValueError(f"fault_rate must be in [0, 1], got {self.fault_rate}")
-        if self.n_fault_trials is not None and self.n_fault_trials < 0:
-            raise ValueError(
-                f"n_fault_trials must be >= 0, got {self.n_fault_trials}"
-            )
-        if self.fault_model is not None and self.fault_model not in FAULT_MODELS:
-            raise ValueError(
-                f"fault_model must be one of {FAULT_MODELS}, got '{self.fault_model}'"
-            )
+        resolve_evaluation_settings(ga_config=self)  # validates the fault knobs
         if self.surrogate is not None and self.surrogate not in SURROGATE_MODELS:
             raise ValueError(
                 f"surrogate must be one of {SURROGATE_MODELS}, got '{self.surrogate}'"
             )
-        if self.surrogate_candidates is not None and self.surrogate_candidates < 1:
+        if self.surrogate_candidates < 1:
             raise ValueError(
                 f"surrogate_candidates must be >= 1, got {self.surrogate_candidates}"
             )
-        if self.surrogate_prefilter is not None and not 0.0 < self.surrogate_prefilter <= 1.0:
+        if not 0.0 < self.surrogate_prefilter <= 1.0:
             raise ValueError(
                 f"surrogate_prefilter must be in (0, 1], got {self.surrogate_prefilter}"
             )
-        if self.halving_budgets is not None:
-            budgets = tuple(self.halving_budgets)
-            if any(int(b) != b or b < 1 for b in budgets):
-                raise ValueError(
-                    f"halving_budgets must be positive integers, got {budgets}"
-                )
-            if any(a >= b for a, b in zip(budgets, budgets[1:])):
-                raise ValueError(
-                    f"halving_budgets must be strictly increasing, got {budgets}"
-                )
+        budgets = tuple(self.halving_budgets)
+        if any(int(b) != b or b < 1 for b in budgets):
+            raise ValueError(f"halving_budgets must be positive integers, got {budgets}")
+        if any(a >= b for a, b in zip(budgets, budgets[1:])):
+            raise ValueError(f"halving_budgets must be strictly increasing, got {budgets}")
 
 
 @dataclass
@@ -226,7 +212,7 @@ class HardwareAwareGA:
         self.settings = (
             settings
             if settings is not None
-            else resolve_evaluation_settings(prepared.config, ga_config=self.config)
+            else resolve_evaluation_settings(ga_config=self.config)
         )
         # Robustness-aware searches rank, select and archive on a third
         # objective (fault-injected accuracy loss); disabled searches run
@@ -246,38 +232,24 @@ class HardwareAwareGA:
             self.settings,
             seed=self.config.seed,
             n_workers=n_workers,
-            # None entries inherit the prepared pipeline's configuration
-            # inside the factory.
             stacked=self.config.stacked,
             cache_size=None if cache is not None else self.config.cache_size,
             cache=cache,
         )
         self._rng = np.random.default_rng(self.config.seed)
 
-        # Surrogate knobs inherit GA config → pipeline config → default,
-        # exactly like the fault knobs above. The assistant and the
-        # halving evaluators only exist when the feature is on, so disabled
-        # searches execute the literal pre-surrogate code path.
-        def _surrogate_knob(name, default):
-            value = getattr(self.config, name, None)
-            if value is None:
-                value = getattr(prepared.config, name, None)
-            return default if value is None else value
-
-        self.surrogate_model: Optional[str] = _surrogate_knob("surrogate", None)
-        self.surrogate_candidates = int(_surrogate_knob("surrogate_candidates", 4))
-        self.surrogate_prefilter = float(_surrogate_knob("surrogate_prefilter", 0.25))
-        self.halving_budgets = tuple(
-            int(b) for b in (_surrogate_knob("halving_budgets", ()) or ())
-        )
+        # The assistant and the halving evaluators only exist when the
+        # surrogate is on, so disabled searches execute the literal
+        # pre-surrogate code path.
+        self.halving_budgets = tuple(int(b) for b in self.config.halving_budgets)
         self._rung_evaluators: Dict[int, object] = {}
-        if self.surrogate_model is not None:
+        if self.config.surrogate is not None:
             from ..surrogate.assist import SurrogateAssistant
 
             self.assistant: Optional[SurrogateAssistant] = SurrogateAssistant(
                 baseline=prepared.baseline_point,
                 robust=self.robust,
-                model=self.surrogate_model,
+                model=self.config.surrogate,
                 seed=self.config.seed,
             )
         else:
@@ -373,10 +345,10 @@ class HardwareAwareGA:
             candidates = self._make_offspring(
                 population,
                 objectives,
-                count=self.config.population_size * self.surrogate_candidates,
+                count=self.config.population_size * self.config.surrogate_candidates,
             )
         self.assistant.refit(generation)
-        budget = max(1, math.ceil(self.surrogate_prefilter * self.config.population_size))
+        budget = max(1, math.ceil(self.config.surrogate_prefilter * self.config.population_size))
         if self.halving_budgets:
             entry = budget * (2 ** len(self.halving_budgets))
             free, chosen = self.assistant.select(candidates, evaluated_keys, entry)

@@ -202,24 +202,17 @@ def create_evaluator(
     settings: Optional[EvaluationSettings] = None,
     seed: Optional[int] = 0,
     n_workers: Optional[int] = None,
-    stacked: Optional[bool] = None,
+    stacked: bool = True,
     cache_size: Optional[int] = None,
     cache=None,
 ) -> SerialEvaluator:
     """Factory used by the search drivers: serial engine unless workers are requested.
 
-    ``stacked`` and ``cache_size`` default to the prepared pipeline's
-    configuration, so every driver built on this factory (the GA,
-    ``random_search``, ``grid_search``) honors ``PipelineConfig.stacked``
-    (on by default) and ``PipelineConfig.cache_size`` without wiring them
-    through individually; pass explicit values to override. ``cache``
-    injects a prebuilt cache instance (e.g. the campaign layer's persistent
-    on-disk backend) and suppresses the ``cache_size`` default.
+    ``stacked`` (on by default) batches each population through the stacked
+    tensor path; ``cache_size`` bounds the in-memory evaluation cache.
+    ``cache`` injects a prebuilt cache instance (e.g. the campaign layer's
+    persistent on-disk backend) in place of a ``cache_size``-bounded one.
     """
-    if stacked is None:
-        stacked = getattr(prepared.config, "stacked", True)
-    if cache_size is None and cache is None:
-        cache_size = getattr(prepared.config, "cache_size", None)
     if resolve_workers(n_workers) > 1:
         return ParallelEvaluator(
             prepared,

@@ -1,14 +1,9 @@
 """Evaluation settings and the single resolver that produces them.
 
-Evaluation knobs historically arrived through three doors — direct
-:class:`EvaluationSettings` construction, ``None``-inheriting
-:class:`~repro.search.ga.GAConfig` fields, and campaign-spec entries — each
-with its own resolution code. This module is now the one place those paths
-meet: :func:`resolve_evaluation_settings` implements the inheritance rules
-(GA knob → pipeline knob → default), and every
-caller — :class:`~repro.search.ga.HardwareAwareGA`, the campaign runner,
-the CLI — goes through it, so the knobs can never resolve differently
-between subsystems.
+:func:`resolve_evaluation_settings` is the one place search knobs turn into
+:class:`EvaluationSettings`. The GA driver, the campaign runner and the
+CLI all go through it, so the knobs can never resolve differently between
+subsystems.
 """
 
 from __future__ import annotations
@@ -85,35 +80,28 @@ class EvaluationSettings:
         )
 
 
+#: The evaluation knobs a random or grid search entry may set.
+FAULT_KNOBS = ("fault_rate", "n_fault_trials", "fault_model")
+
+
 def resolve_evaluation_settings(
-    pipeline_config=None, ga_config=None
+    pipeline_config=None, ga_config=None, **knobs
 ) -> EvaluationSettings:
-    """Resolve every evaluation knob through the one documented precedence.
+    """The evaluation settings of one search.
 
-    Each knob takes the first non-``None`` value of: the GA config field,
-    the pipeline config field, the :class:`EvaluationSettings` default.
-
-    Either config may be ``None``: ``resolve_evaluation_settings()`` yields
-    the defaults, ``resolve_evaluation_settings(config)``
-    is the non-GA campaign path, and passing both is the GA path (the same
-    inheritance the ``stacked``/``cache_size``/``n_workers`` knobs use).
+    A GA carries its own fine-tuning budget and fault knobs on
+    ``ga_config``. A random or grid search fine-tunes for the pipeline's
+    ``finetune_epochs`` and takes its :data:`FAULT_KNOBS` as keywords.
+    Knobs left out keep the :class:`EvaluationSettings` defaults, as does a
+    call with no config at all.
     """
-
-    def _knob(name, default):
-        ga_value = getattr(ga_config, name, None) if ga_config is not None else None
-        if ga_value is not None:
-            return ga_value
-        pipeline_value = (
-            getattr(pipeline_config, name, None) if pipeline_config is not None else None
-        )
-        return pipeline_value if pipeline_value is not None else default
-
-    return EvaluationSettings(
-        finetune_epochs=_knob("finetune_epochs", 8),
-        fault_rate=_knob("fault_rate", 0.0),
-        n_fault_trials=_knob("n_fault_trials", 0),
-        fault_model=_knob("fault_model", "open"),
-    )
+    if ga_config is not None:
+        if knobs:
+            raise TypeError("a GA search takes its knobs from ga_config alone")
+        knobs = {name: getattr(ga_config, name) for name in ("finetune_epochs",) + FAULT_KNOBS}
+    elif pipeline_config is not None:
+        knobs.setdefault("finetune_epochs", pipeline_config.finetune_epochs)
+    return EvaluationSettings(**knobs)
 
 
 __all__ = [

@@ -335,6 +335,7 @@ class ServingHandler(BaseHTTPRequestHandler):
         headers: Optional[Mapping[str, str]] = None,
     ) -> None:
         """One complete response with ``Content-Length`` (keep-alive safe)."""
+        self._observe(status)
         self._response_started = True
         self.send_response(status)
         self.send_header("Content-Type", content_type)
@@ -356,6 +357,7 @@ class ServingHandler(BaseHTTPRequestHandler):
     def _send_not_modified(self, etag: str) -> None:
         """``304 Not Modified``: the ETag, no body (Content-Length 0 keeps
         the keep-alive framing explicit)."""
+        self._observe(304)
         self._response_started = True
         self.send_response(304)
         self.send_header("ETag", etag)
@@ -375,6 +377,21 @@ class ServingHandler(BaseHTTPRequestHandler):
                 "enqueued_job": enqueued,
             },
         )
+
+    def _start(self, route: str) -> None:
+        """Reset the per-request state (handlers serve many keep-alive requests)."""
+        self._started = time.perf_counter()
+        self._route = route
+        self._response_started = False
+
+    def _observe(self, status: int) -> None:
+        """Record this request in the metrics.
+
+        The send helpers call it before any response byte goes out, so a
+        client that has read its reply finds the request already counted by
+        ``GET /metrics``.
+        """
+        self.server.metrics.observe(self._route, status, time.perf_counter() - self._started)
 
     # -- routes ------------------------------------------------------------------
 
@@ -401,18 +418,18 @@ class ServingHandler(BaseHTTPRequestHandler):
             return 499
         return 500
 
-    def _front_route(self, dataset: str, query_string: str) -> int:
-        """``GET /fronts/<ds>``: ETag/304, optional pagination; returns status."""
+    def _front_route(self, dataset: str, query_string: str) -> None:
+        """``GET /fronts/<ds>``: ETag/304, optional pagination."""
         if not is_safe_dataset_name(dataset):
             # Refused after URL decoding, before any path construction;
             # _miss's enqueuer applies the same check and publishes nothing.
             self._miss(dataset)
-            return 404
+            return
         try:
             offset, limit = _parse_pagination(query_string)
         except ValueError as error:
             self._send_json(400, {"error": "invalid pagination", "detail": str(error)})
-            return 400
+            return
         paginated = offset is not None or limit is not None
         start = offset or 0
         try:
@@ -425,15 +442,15 @@ class ServingHandler(BaseHTTPRequestHandler):
                 raw, fingerprint = self.server.store.front(dataset)
         except UnknownDatasetError:
             self._miss(dataset)
-            return 404
+            return
         etag = f'"{fingerprint}"'
         if _etag_matches(self.headers.get("If-None-Match"), etag):
             self._send_not_modified(etag)
-            return 304
+            return
         headers = {"ETag": etag}
         if not paginated:
             self._send(200, raw, headers=headers)
-            return 200
+            return
         self._send_json(
             200,
             {
@@ -446,52 +463,42 @@ class ServingHandler(BaseHTTPRequestHandler):
             },
             headers=headers,
         )
-        return 200
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         """Dispatch ``GET`` routes."""
-        started = time.perf_counter()
-        self._response_started = False
         raw_path, _, query_string = self.path.partition("?")
         path = raw_path.rstrip("/") or "/"
-        route, status = f"GET {path}", 500
+        self._start(f"GET {path}")
         try:
             if path == "/healthz":
                 self._send_json(
                     200, {"status": "ok", "datasets": len(self.server.store.datasets())}
                 )
-                status = 200
             elif path == "/datasets":
                 names = self.server.store.datasets()
                 self._send_json(200, {"datasets": names, "count": len(names)})
-                status = 200
             elif path == "/metrics":
                 self._send_json(200, self.server.metrics.snapshot())
-                status = 200
             elif path.startswith("/fronts/"):
-                route = "GET /fronts"
+                self._route = "GET /fronts"
                 dataset = urllib.parse.unquote(path[len("/fronts/") :])
-                status = self._front_route(dataset, query_string)
+                self._front_route(dataset, query_string)
             else:
-                route = "GET other"
+                self._route = "GET other"
                 self._send_json(404, {"error": "no such route", "path": path})
-                status = 404
         except Exception as error:  # pragma: no cover - defensive catch-all
             status = self._handle_failure(error)
-        finally:
-            self.server.metrics.observe(route, status, time.perf_counter() - started)
+            if not self._response_started:  # the client left before any reply
+                self._observe(status)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         """Dispatch ``POST /query``."""
-        started = time.perf_counter()
-        self._response_started = False
         path = self.path.split("?", 1)[0].rstrip("/")
-        route, status = "POST /query", 500
+        self._start("POST /query")
         try:
             if path != "/query":
-                route = "POST other"
+                self._route = "POST other"
                 self._send_json(404, {"error": "no such route", "path": path})
-                status = 404
                 return
             raw_length = self.headers.get("Content-Length")
             try:
@@ -501,14 +508,12 @@ class ServingHandler(BaseHTTPRequestHandler):
                     400,
                     {"error": "invalid Content-Length", "detail": repr(raw_length)},
                 )
-                status = 400
                 return
             if length < 0:
                 self._send_json(
                     400,
                     {"error": "invalid Content-Length", "detail": repr(raw_length)},
                 )
-                status = 400
                 return
             if length > MAX_BODY_BYTES:
                 # Refused before reading a single body byte — an honest
@@ -518,37 +523,31 @@ class ServingHandler(BaseHTTPRequestHandler):
                     413,
                     {"error": "request body too large", "limit_bytes": MAX_BODY_BYTES},
                 )
-                status = 413
                 return
             try:
                 payload = json.loads(self.rfile.read(length).decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as error:
                 self._send_json(400, {"error": "invalid JSON body", "detail": str(error)})
-                status = 400
                 return
             try:
                 result = self.server.engine.run(payload)
             except QueryValidationError as error:
                 self._send_json(400, {"error": "invalid query", "detail": str(error)})
-                status = 400
                 return
             except UnknownDatasetError as error:
                 self._miss(error.dataset)
-                status = 404
                 return
             etag = None if result.fingerprint is None else f'"{result.fingerprint}"'
             if etag is not None and _etag_matches(self.headers.get("If-None-Match"), etag):
                 self._send_not_modified(etag)
-                status = 304
                 return
             self._send_json(
                 200, result.as_dict(), headers=None if etag is None else {"ETag": etag}
             )
-            status = 200
         except Exception as error:  # pragma: no cover - defensive catch-all
             status = self._handle_failure(error)
-        finally:
-            self.server.metrics.observe(route, status, time.perf_counter() - started)
+            if not self._response_started:  # the client left before any reply
+                self._observe(status)
 
 
 class FrontServer(ThreadingHTTPServer):

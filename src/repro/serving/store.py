@@ -252,10 +252,10 @@ class FrontView:
 def _spec_fault_rate(campaign: Path) -> Optional[float]:
     """The campaign's fault-injection rate, recovered from ``spec.json``.
 
-    Search-level ``fault_rate`` overrides win over the pipeline-level knob
-    (matching :func:`repro.search.settings.resolve_evaluation_settings`
-    precedence); an unreadable or absent spec yields ``None``, as does a
-    campaign that never enabled robustness (rate 0.0).
+    The first search entry's ``fault_rate`` wins; ``spec.json`` files
+    written by earlier builds may carry it under ``pipeline`` instead, which
+    is read as the fallback. An unreadable or absent spec yields ``None``,
+    as does a campaign that never enabled robustness (rate 0.0).
     """
     try:
         spec = json.loads((campaign / "spec.json").read_text())

@@ -258,8 +258,7 @@ class TestUnusableBaselines:
 class TestKeyAndRoundTrip:
     def test_key_ignores_search_only_knobs(self):
         plain = PipelineConfig(dataset="seeds", seed=0)
-        ridge = PipelineConfig(dataset="seeds", seed=0, surrogate="ridge")
-        assert baseline_key(plain) == baseline_key(ridge)
+        assert baseline_key(plain) == baseline_key(PipelineConfig(dataset="seeds", n_workers=2))
         assert baseline_key(plain) != baseline_key(PipelineConfig(dataset="seeds", seed=1))
         assert baseline_key(plain) != evaluation_context_key(plain, None, 0)
 

@@ -10,10 +10,12 @@ from repro.campaign import (
     CampaignJournal,
     PersistentEvaluationCache,
     SimulatedCrash,
+    baseline_key,
     evaluation_context_key,
     write_json_atomic,
 )
 from repro.core import DesignPoint, PipelineConfig
+from repro.core.config import fast_config
 from repro.search import EvaluationSettings, Genome, resolve_evaluation_settings
 
 
@@ -109,6 +111,25 @@ class TestEvaluationContextKey:
         config = PipelineConfig(dataset="seeds", train_epochs=3)
         settings = resolve_evaluation_settings(config)
         assert evaluation_context_key(config, settings, 0) == "a8c5a111110aba23"
+
+    def test_keys_match_builds_with_search_knobs_on_the_pipeline(self):
+        # Digests as hashed by builds whose pipeline configuration still
+        # carried the engine, fault and surrogate knobs: their shards and
+        # stored baselines must keep matching.
+        config = PipelineConfig(dataset="seeds", train_epochs=3)
+        assert baseline_key(config) == "42d96c334b967ff6"
+        assert baseline_key(fast_config("redwine")) == "f89175ba9bcc6f17"
+        robust = EvaluationSettings(finetune_epochs=4, fault_rate=0.05, n_fault_trials=4)
+        assert evaluation_context_key(config, robust, 1) == "e496b567686656c9"
+
+    @pytest.mark.parametrize("dataset", ["seeds", "redwine"])
+    def test_worker_count_does_not_split_keys(self, dataset):
+        serial = PipelineConfig(dataset=dataset, train_epochs=3)
+        parallel = PipelineConfig(dataset=dataset, train_epochs=3, n_workers=2)
+        assert baseline_key(serial) == baseline_key(parallel)
+        assert evaluation_context_key(serial, None, 0) == evaluation_context_key(
+            parallel, None, 0
+        )
 
     def test_none_settings_uses_defaults(self):
         config = PipelineConfig(dataset="seeds")

@@ -8,6 +8,7 @@ to the uninterrupted run.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -216,6 +217,33 @@ class TestCrossJobCacheSharing:
         # grid-b overlaps grid-a on the 4-bit genome: only one fresh evaluation.
         assert by_id["seeds-grid-a-s0"].n_evaluations == 2
         assert by_id["seeds-grid-b-s0"].n_evaluations == 1
+
+
+class TestRobustNonGASearches:
+    #: SHA-256 of the front.json earlier builds wrote for this job with the
+    #: fault knobs spelled under ``pipeline`` instead of the search entry.
+    ROBUST_RANDOM_FRONT = "73c8388324bae6be06042e64e2f0dc97197fe3a096140176f478cd9f95bca063"
+    FAULTS = {"fault_rate": 0.05, "n_fault_trials": 3, "fault_model": "short"}
+
+    def test_robust_random_job_matches_the_pipeline_level_spelling(self, tmp_path):
+        search = {"algorithm": "random", "n_evaluations": 3, **self.FAULTS}
+        spec = _spec(searches=[search], datasets=("seeds",))
+        assert CampaignRunner(spec, tmp_path / "camp").run().ok
+        front = _front_bytes(tmp_path / "camp", "seeds-random-s0")
+        assert hashlib.sha256(front).hexdigest() == self.ROBUST_RANDOM_FRONT
+
+    def test_robust_grid_job_measures_fault_tolerance(self, tmp_path):
+        search = {
+            "algorithm": "grid",
+            "bit_choices": [4],
+            "sparsity_choices": [0.0, 0.3],
+            "cluster_choices": [0],
+            **self.FAULTS,
+        }
+        spec = _spec(searches=[search], datasets=("seeds",))
+        assert CampaignRunner(spec, tmp_path / "camp").run().ok
+        front = json.loads(_front_bytes(tmp_path / "camp", "seeds-grid-s0"))["front"]
+        assert front and all(point["robust_accuracy"] is not None for point in front)
 
 
 class TestParallelJobs:

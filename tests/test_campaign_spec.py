@@ -72,6 +72,19 @@ class TestSearchSpec:
         with pytest.raises(ValueError, match="Unknown parameters"):
             SearchSpec.from_dict({"algorithm": "ga", "backend": "numpy"})
 
+    @pytest.mark.parametrize("algorithm", ["random", "grid"])
+    def test_fault_knobs_accepted_on_random_and_grid(self, algorithm):
+        faults = {"fault_rate": 0.05, "n_fault_trials": 4, "fault_model": "short"}
+        spec = SearchSpec.from_dict({"algorithm": algorithm, **faults})
+        assert spec.param_dict() == faults
+
+    @pytest.mark.parametrize("knob, value", [("stacked", False), ("cache_size", 4)])
+    def test_engine_knobs_stay_ga_only(self, knob, value):
+        spec = SearchSpec.from_dict({"algorithm": "ga", knob: value})
+        assert spec.param_dict() == {knob: value}
+        with pytest.raises(ValueError, match=knob):
+            SearchSpec.from_dict({"algorithm": "random", knob: value})
+
     @pytest.mark.parametrize("bad_name", ["ga/v2", "..", "a b", ".hidden", ""])
     def test_rejects_path_unsafe_names(self, bad_name):
         # Search names become job directory components.
@@ -117,6 +130,25 @@ class TestCampaignSpec:
     def test_removed_backend_override_rejected(self):
         with pytest.raises(ValueError, match="Unknown pipeline overrides"):
             CampaignSpec.from_dict(_spec_dict(pipeline={"backend": "numpy"}))
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "stacked",
+            "cache_size",
+            "fault_rate",
+            "n_fault_trials",
+            "fault_model",
+            "surrogate",
+            "surrogate_candidates",
+            "surrogate_prefilter",
+            "halving_budgets",
+        ],
+    )
+    def test_search_knob_under_pipeline_points_to_the_search_entry(self, knob):
+        pipeline = {"train_epochs": 3, knob: 1}
+        with pytest.raises(ValueError, match=rf"\['{knob}'\].*search entry"):
+            CampaignSpec.from_dict(_spec_dict(pipeline=pipeline))
 
     def test_unknown_top_level_field_rejected(self):
         with pytest.raises(ValueError, match="Unknown campaign fields"):

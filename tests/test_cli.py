@@ -153,8 +153,8 @@ class TestCommands:
     def test_fault_flag_validation(self):
         parser = build_parser()
         args = parser.parse_args(["figure2"])
-        assert args.fault_rate is None and args.fault_trials is None
-        assert args.fault_model is None
+        assert args.fault_rate == 0.0 and args.fault_trials == 0
+        assert args.fault_model == "open"
         args = parser.parse_args(
             ["figure2", "--fault-rate", "0.05", "--fault-trials", "8"]
         )

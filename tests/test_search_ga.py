@@ -219,32 +219,14 @@ class TestRobustnessAwareGA:
             for p in robust_result.front
         ]
 
-    def test_ga_inherits_pipeline_fault_knobs(self, prepared):
-        from dataclasses import replace
-
-        from repro.search import resolve_evaluation_settings
-
-        pipeline_config = replace(
-            prepared.config, fault_rate=0.2, n_fault_trials=3, fault_model="level_shift"
-        )
-        inherited = resolve_evaluation_settings(
-            pipeline_config, ga_config=GAConfig(finetune_epochs=2)
-        )
-        assert inherited.fault_rate == 0.2
-        assert inherited.n_fault_trials == 3
-        assert inherited.fault_model == "level_shift"
-        assert inherited.robustness_enabled
-        # Explicit GA knobs beat the pipeline's.
-        overridden = resolve_evaluation_settings(
-            pipeline_config,
-            ga_config=GAConfig(finetune_epochs=2, fault_rate=0.05, n_fault_trials=0),
-        )
-        assert overridden.fault_rate == 0.05
-        assert overridden.n_fault_trials == 0
-        assert not overridden.robustness_enabled
-
     @pytest.mark.parametrize(
-        "kwargs", [{"fault_rate": 1.5}, {"fault_rate": -0.1}, {"n_fault_trials": -1}]
+        "kwargs",
+        [
+            {"fault_rate": 1.5},
+            {"fault_rate": -0.1},
+            {"n_fault_trials": -1},
+            {"fault_model": "bridging"},
+        ],
     )
     def test_invalid_fault_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -257,44 +239,28 @@ class TestResolveEvaluationSettings:
             finetune_epochs=8, fault_rate=0.0, n_fault_trials=0, fault_model="open"
         )
 
-    def test_pipeline_values_inherited(self):
-        config = PipelineConfig(
-            dataset="seeds",
-            finetune_epochs=3,
-            fault_rate=0.1,
-            n_fault_trials=7,
-            fault_model="short",
+    def test_search_entry_knobs_with_pipeline_epochs(self):
+        config = PipelineConfig(dataset="seeds", finetune_epochs=3)
+        settings = resolve_evaluation_settings(
+            config, fault_rate=0.1, n_fault_trials=7, fault_model="short"
         )
-        settings = resolve_evaluation_settings(config)
-        assert settings.finetune_epochs == 3
-        assert settings.fault_rate == 0.1
-        assert settings.n_fault_trials == 7
-        assert settings.fault_model == "short"
+        assert settings == EvaluationSettings(
+            finetune_epochs=3, fault_rate=0.1, n_fault_trials=7, fault_model="short"
+        )
+        assert resolve_evaluation_settings(config) == EvaluationSettings(finetune_epochs=3)
 
-    def test_ga_values_override_pipeline(self):
-        config = PipelineConfig(
-            dataset="seeds",
-            finetune_epochs=3,
-            fault_rate=0.1,
-            n_fault_trials=7,
-            fault_model="short",
-        )
+    def test_ga_config_ignores_pipeline(self):
         ga_config = GAConfig(
             finetune_epochs=5, fault_rate=0.2, n_fault_trials=9, fault_model="level_shift"
         )
+        config = PipelineConfig(dataset="seeds", finetune_epochs=3)
         settings = resolve_evaluation_settings(config, ga_config=ga_config)
-        assert settings.finetune_epochs == 5
-        assert settings.fault_rate == 0.2
-        assert settings.n_fault_trials == 9
-        assert settings.fault_model == "level_shift"
-
-    def test_none_ga_knobs_fall_through_to_pipeline(self):
-        config = PipelineConfig(dataset="seeds", fault_rate=0.3)
-        ga_config = GAConfig()  # every inheritable knob defaults to None
-        settings = resolve_evaluation_settings(config, ga_config=ga_config)
-        assert settings.fault_rate == 0.3
-        # GAConfig.finetune_epochs is never None: the GA default wins
-        assert settings.finetune_epochs == ga_config.finetune_epochs
+        assert settings == resolve_evaluation_settings(ga_config=ga_config)
+        assert settings == EvaluationSettings(
+            finetune_epochs=5, fault_rate=0.2, n_fault_trials=9, fault_model="level_shift"
+        )
+        with pytest.raises(TypeError):
+            resolve_evaluation_settings(ga_config=ga_config, fault_rate=0.1)
 
     def test_ga_only_without_pipeline(self):
         settings = resolve_evaluation_settings(

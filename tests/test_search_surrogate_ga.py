@@ -5,7 +5,7 @@ off, the GA's serialized fronts are byte-identical to the pinned
 ``tests/data/surrogate_off_front_golden.json`` captured before the
 surrogate subsystem existed. The remaining tests cover the surrogate-on
 path: fewer real evaluations, determinism, measured-points-only fronts,
-successive halving, knob inheritance and spec/CLI wiring.
+successive halving and spec/CLI wiring.
 """
 
 import json
@@ -16,7 +16,7 @@ import pytest
 from repro.campaign import SearchSpec, evaluation_context_key
 from repro.cli import build_parser
 from repro.core import MinimizationPipeline, PipelineConfig
-from repro.search import GAConfig, HardwareAwareGA
+from repro.search import GAConfig, HardwareAwareGA, resolve_evaluation_settings
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "surrogate_off_front_golden.json"
 
@@ -151,42 +151,9 @@ class TestKnobValidationAndInheritance:
         with pytest.raises(ValueError, match="halving_budgets"):
             GAConfig(halving_budgets=budgets)
 
-    def test_pipeline_config_mirrors_validation(self):
-        with pytest.raises(ValueError, match="surrogate"):
-            PipelineConfig(dataset="seeds", surrogate="forest")
-        with pytest.raises(ValueError, match="halving_budgets"):
-            PipelineConfig(dataset="seeds", halving_budgets=(3, 2))
-
-    def test_ga_inherits_pipeline_surrogate_knobs(self, golden_prepared):
-        config = PipelineConfig(
-            dataset="seeds",
-            train_epochs=5,
-            n_samples=150,
-            finetune_epochs=2,
-            surrogate="ridge",
-            surrogate_candidates=2,
-            surrogate_prefilter=0.5,
-            halving_budgets=(1,),
-        )
-        prepared = MinimizationPipeline(config).prepare()
-        ga = HardwareAwareGA(prepared, config=golden_ga_config())
-        assert ga.surrogate_model == "ridge"
-        assert ga.surrogate_candidates == 2
-        assert ga.surrogate_prefilter == 0.5
-        assert ga.halving_budgets == (1,)
-        assert ga.assistant is not None
-
-    def test_ga_config_overrides_pipeline(self, golden_prepared):
-        ga = HardwareAwareGA(
-            golden_prepared,
-            config=golden_ga_config(surrogate="mlp", surrogate_candidates=3),
-        )
-        assert ga.surrogate_model == "mlp"
-        assert ga.surrogate_candidates == 3
-
     def test_off_by_default(self, golden_prepared):
         ga = HardwareAwareGA(golden_prepared, config=golden_ga_config())
-        assert ga.surrogate_model is None
+        assert ga.config.surrogate is None
         assert ga.assistant is None
 
 
@@ -194,20 +161,24 @@ class TestContextKeySharing:
     """Surrogate knobs steer the search, not evaluations — keys must match."""
 
     def test_context_key_ignores_surrogate_knobs(self):
-        plain = PipelineConfig(dataset="seeds", train_epochs=5)
-        assisted = PipelineConfig(
-            dataset="seeds",
-            train_epochs=5,
+        config = PipelineConfig(dataset="seeds", train_epochs=5)
+        assisted = GAConfig(
             surrogate="ridge",
             surrogate_candidates=8,
             surrogate_prefilter=0.5,
             halving_budgets=(1, 3),
         )
-        key = evaluation_context_key(plain, settings=None, seed=0)
-        assert key == evaluation_context_key(assisted, settings=None, seed=0)
+        key = evaluation_context_key(
+            config, resolve_evaluation_settings(ga_config=GAConfig()), seed=0
+        )
+        assert key == evaluation_context_key(
+            config, resolve_evaluation_settings(ga_config=assisted), seed=0
+        )
         # A knob that does change evaluation results still changes the key.
         retrained = PipelineConfig(dataset="seeds", train_epochs=6)
-        assert key != evaluation_context_key(retrained, settings=None, seed=0)
+        assert key != evaluation_context_key(
+            retrained, resolve_evaluation_settings(ga_config=GAConfig()), seed=0
+        )
 
 
 class TestCampaignSpecWiring:
@@ -254,7 +225,7 @@ class TestCLIWiring:
     def test_surrogate_off_by_default(self):
         args = build_parser().parse_args(["figure2"])
         assert args.surrogate is None
-        assert args.halving_budgets is None
+        assert args.halving_budgets == ()
 
     @pytest.mark.parametrize(
         "argv",

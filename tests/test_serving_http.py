@@ -430,6 +430,15 @@ def test_concurrent_front_reads_serve_only_whole_documents(server, campaign):
     assert violations == []
 
 
+def test_metrics_count_every_answered_request(server):
+    """A reply the client has read is already counted by the next /metrics."""
+    for answered in range(1, 201):
+        assert request(server, "/query", {"dataset": "seeds"})[0] == 200
+        metrics = json.loads(request(server, "/metrics")[1])
+        assert metrics["requests"]["POST /query"] == answered
+        assert metrics["requests"].get("GET /metrics", 0) == answered - 1
+
+
 def test_refresh_during_traffic_keeps_metrics_consistent(server):
     hammer(server, "/query", {"dataset": "seeds"}, 4, 10)
     server.store.refresh()
