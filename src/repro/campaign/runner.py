@@ -32,8 +32,8 @@ from ..core.pareto import best_area_gain_at_loss, pareto_front
 from ..core.pipeline import MinimizationPipeline
 from ..search.evaluator import EvaluationCache
 from ..search.exhaustive import grid_search, random_search
-from ..search.ga import GAConfig, HardwareAwareGA
-from ..search.settings import FAULT_KNOBS, resolve_evaluation_settings
+from ..search.ga import HardwareAwareGA
+from ..search.settings import FAULT_KNOBS
 from .cache import (
     PersistentEvaluationCache,
     baseline_key,
@@ -43,7 +43,7 @@ from .cache import (
 )
 from .fabric.retry import RetryPolicy
 from .journal import CampaignJournal, mark_campaign_completed, persist_spec
-from .spec import CampaignSpec, JobSpec, parse_shard, select_shard
+from .spec import CampaignSpec, JobSpec, parse_shard, search_settings, select_shard
 
 #: Signature of a cache factory:
 #: (cache_dir, context_key, max_entries) -> EvaluationCache.
@@ -117,16 +117,11 @@ def execute_job(
     prepared = MinimizationPipeline(config, baseline=baseline).prepare()
     params = job.search_params()
 
-    ga_config: Optional[GAConfig] = None
-    if job.algorithm == "ga":
-        ga_config = GAConfig(**params, seed=job.seed)
-        # The search and the cache context key use the same settings.
-        settings = resolve_evaluation_settings(ga_config=ga_config)
-        cache_bound = ga_config.cache_size
-    else:
-        fault_knobs = {name: params.pop(name) for name in FAULT_KNOBS if name in params}
-        settings = resolve_evaluation_settings(config, **fault_knobs)
-        cache_bound = None
+    # The search and the cache context key use the same settings.
+    ga_config, settings = search_settings(job.algorithm, params, job.seed, config)
+    cache_bound = ga_config.cache_size if ga_config is not None else None
+    for name in FAULT_KNOBS:
+        params.pop(name, None)
 
     cache: Optional[EvaluationCache] = None
     cache_stats: Dict[str, object] = {"enabled": bool(use_cache)}

@@ -42,7 +42,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.config import PipelineConfig, fast_config
 from ..datasets.registry import resolve_dataset_names
-from ..search.settings import FAULT_KNOBS
+from ..search.ga import GAConfig
+from ..search.settings import FAULT_KNOBS, EvaluationSettings, resolve_evaluation_settings
 
 #: Search algorithms a campaign job may request.
 ALGORITHMS: Tuple[str, ...] = ("ga", "random", "grid")
@@ -140,6 +141,10 @@ class SearchSpec:
                 f"Unknown parameters {sorted(unknown)} for '{algorithm}' search "
                 f"'{name}'. Valid: {sorted(allowed)}"
             )
+        try:
+            search_settings(algorithm, entry)
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"Invalid '{algorithm}' search '{name}': {error}") from error
         params = tuple(
             (key, _freeze(value)) for key, value in sorted(entry.items())
         )
@@ -150,6 +155,26 @@ class SearchSpec:
         doc: Dict[str, object] = {"algorithm": self.algorithm, "name": self.name}
         doc.update({key: _thaw(value) for key, value in self.params})
         return doc
+
+
+def search_settings(
+    algorithm: str,
+    params: Mapping[str, object],
+    seed: int = 0,
+    pipeline_config: Optional[PipelineConfig] = None,
+) -> Tuple[Optional[GAConfig], EvaluationSettings]:
+    """The GA configuration (``ga`` only) and evaluation settings of a search.
+
+    Jobs build their search through this, and :meth:`SearchSpec.from_dict`
+    builds it once at load, so a bad value fails there rather than in
+    every job. A ``random`` or ``grid`` search fine-tunes for
+    ``pipeline_config``'s epochs (the settings default without one).
+    """
+    if algorithm == "ga":
+        ga_config = GAConfig(**params, seed=seed)
+        return ga_config, resolve_evaluation_settings(ga_config=ga_config)
+    fault_knobs = {name: params[name] for name in FAULT_KNOBS if name in params}
+    return None, resolve_evaluation_settings(pipeline_config, **fault_knobs)
 
 
 def _freeze(value: object) -> object:

@@ -200,8 +200,7 @@ def hypervolume(
 
     The reference point is (relative accuracy loss = ``reference_loss``,
     normalized area = 1.0): designs losing more accuracy than the reference
-    or larger than the baseline contribute nothing. Used by the search
-    package to compare GA runs and by the ablation benchmarks.
+    or larger than the baseline contribute nothing.
     """
     if reference_loss <= 0:
         raise ValueError(f"reference_loss must be positive, got {reference_loss}")
@@ -256,8 +255,9 @@ def hypervolume_objectives(
     ``reference``. Points not strictly better than the reference on every
     axis contribute nothing. The 3-D case sweeps reference-to-point slabs
     along the last axis with an incremental 2-D front — exact, O(n² log n),
-    plenty for search-sized fronts. Used by ``bench_surrogate.py`` to
-    compare 3-objective fronts from surrogate-assisted and plain GA runs.
+    plenty for search-sized fronts. The surrogate's evaluations-saved floor
+    compares 3-objective fronts of surrogate-assisted and plain GA runs
+    with it.
     """
     reference = tuple(float(value) for value in reference)
     dimensions = len(reference)

@@ -1,4 +1,4 @@
-"""Experiment drivers: Figure 1, Figure 2, headline summary, baselines, ablations."""
+"""Experiment drivers: Figure 1, Figure 2, headline values, baselines, ablations."""
 
 from .ablation import (
     AblationResult,
@@ -11,7 +11,7 @@ from .ablation import (
 from .baselines import BaselineRow, baseline_for, baseline_table, expected_topologies
 from .figure1 import Figure1Panel, figure1_summary_rows, run_figure1, run_figure1_panel
 from .figure2 import Figure2Result, run_figure2
-from .summary import PAPER_HEADLINE_GAINS, SummaryResult, summarize_sweeps
+from .summary import PAPER_HEADLINE_GAINS
 
 __all__ = [
     "AblationResult",
@@ -19,7 +19,6 @@ __all__ = [
     "Figure1Panel",
     "Figure2Result",
     "PAPER_HEADLINE_GAINS",
-    "SummaryResult",
     "baseline_for",
     "baseline_table",
     "clustering_granularity",
@@ -32,5 +31,4 @@ __all__ = [
     "run_figure1",
     "run_figure1_panel",
     "run_figure2",
-    "summarize_sweeps",
 ]

@@ -48,7 +48,7 @@ _MULT_TABLES: Dict[Tuple, np.ndarray] = {}
 
 
 def clear_cost_caches() -> None:
-    """Drop every memoized block cost (used by tests and benchmarks)."""
+    """Drop every memoized block cost (used by tests)."""
     _RIPPLE_CACHE.clear()
     _MULT_CACHE.clear()
     _TREE_CACHE.clear()

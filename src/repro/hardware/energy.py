@@ -10,7 +10,7 @@ actually budgets:
   combinational and can be power-gated between samples),
 * average power at a given classification rate plus standby leakage,
 * lifetime on a printed battery of a given capacity,
-* power/energy breakdowns and gains relative to the baseline design.
+* power breakdowns and battery-lifetime gains relative to the baseline design.
 
 Printed energy sources are tiny: the defaults below follow the printed
 battery / energy-harvesting figures used in the printed-classifier
@@ -129,23 +129,6 @@ def power_breakdown(report: SynthesisReport) -> Dict[str, float]:
     if report.power <= 0:
         return {kind: 0.0 for kind in report.by_kind}
     return {kind: cost.power / report.power for kind, cost in report.by_kind.items()}
-
-
-def energy_gain(
-    minimized: SynthesisReport, baseline: SynthesisReport
-) -> Dict[str, float]:
-    """Power / energy / rate improvements of a minimized design over the baseline."""
-    if baseline.power <= 0 or baseline.delay <= 0:
-        raise ValueError("Baseline power and delay must be positive")
-    return {
-        "power_gain": baseline.power / minimized.power if minimized.power > 0 else float("inf"),
-        "energy_gain": (
-            energy_per_inference(baseline) / energy_per_inference(minimized)
-            if energy_per_inference(minimized) > 0
-            else float("inf")
-        ),
-        "speedup": baseline.delay / minimized.delay if minimized.delay > 0 else float("inf"),
-    }
 
 
 def battery_life_comparison(

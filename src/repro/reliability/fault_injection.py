@@ -13,9 +13,9 @@ injects the two dominant defect mechanisms of bespoke circuits into the
   quantization levels (the printed analogue of a stuck-at on a low-order
   bit).
 
-The study in ``benchmarks/bench_reliability.py`` uses this to compare the
-fault tolerance of baseline vs minimized designs — an extension beyond the
-paper, motivated by its printed-electronics setting.
+:func:`compare_fault_tolerance` uses this to compare the fault tolerance
+of baseline vs minimized designs — an extension beyond the paper,
+motivated by its printed-electronics setting.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Exhaustive and random-sampling baselines for the combined search.
 
-The paper's GA is compared here (ablation benchmarks) against two simpler
-design-space exploration strategies over the same genome space:
+Two design-space exploration strategies simpler than the paper's GA, over
+the same genome space:
 
 * :func:`random_search` — uniform random sampling with the same evaluation
   budget as the GA.

@@ -83,9 +83,8 @@ def prepared_pipeline(fast_pipeline_config):
 def tiny_problem():
     """Fixture view of :func:`tiny_classification_problem` with the default seed.
 
-    Tests must use this fixture rather than ``from conftest import ...``:
-    a plain ``conftest`` import resolves to whichever conftest directory
-    (tests/ or benchmarks/) pytest put on ``sys.path`` first.
+    Tests use this fixture rather than ``from conftest import ...``:
+    ``conftest.py`` is a pytest plugin, not a helper module.
     """
     return tiny_classification_problem(seed=0)
 

@@ -8,8 +8,7 @@ every property test draws from the full space the production code accepts,
 edge values (empty masks, rate 0.0/1.0, duplicate objectives) included.
 
 Import as a plain module (``from strategies import genomes``): ``tests/`` is
-on ``sys.path`` during collection and the name collides with nothing in
-``benchmarks/``.
+on ``sys.path`` during collection.
 """
 
 from __future__ import annotations

@@ -105,7 +105,7 @@ class TestCampaignVerbs:
     def test_failed_job_exits_nonzero(self, tmp_path, capsys):
         spec = dict(_SPEC)
         spec["datasets"] = ["seeds"]
-        spec["searches"] = [{"algorithm": "ga", "population_size": 2, "n_generations": 1}]
+        spec["searches"] = [{"algorithm": "random", "n_evaluations": 0}]
         spec_path = _write_spec(tmp_path, spec)
         out = str(tmp_path / "camp")
         assert main(["campaign", "run", "--spec", str(spec_path), "--out", out]) == 1

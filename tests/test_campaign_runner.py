@@ -23,7 +23,8 @@ from repro.campaign import (
     format_report,
     write_report,
 )
-from repro.search import EvaluationSettings, SerialEvaluator
+from repro.core import MinimizationPipeline
+from repro.search import EvaluationSettings, GAConfig, HardwareAwareGA, SerialEvaluator
 
 #: Small enough to keep every runner test under a second per campaign.
 _PIPELINE = {"train_epochs": 3, "n_samples": 120, "finetune_epochs": 1}
@@ -119,15 +120,15 @@ class TestRunnerBasics:
         assert list(bounds_seen.values()) == [5]
 
     def test_failed_job_does_not_sink_the_campaign(self, tmp_path):
-        # An invalid GA configuration (population < 4) fails at job start.
+        # A random search of zero evaluations loads but fails at job start.
         spec = _spec(
             searches=[
-                {"algorithm": "ga", "population_size": 2, "n_generations": 1},
+                {"algorithm": "random", "name": "empty", "n_evaluations": 0},
                 {"algorithm": "random", "n_evaluations": 2},
             ]
         )
         summary = CampaignRunner(spec, tmp_path / "camp").run()
-        assert summary.failed == 2  # one bad GA job per dataset
+        assert summary.failed == 2  # one empty job per dataset
         assert summary.completed == 2  # random jobs unaffected
         status = campaign_status(tmp_path / "camp")
         assert status["failed"] == 2
@@ -351,6 +352,20 @@ class TestExecuteJob:
         assert result["status"] == "completed"
         assert result["cache"]["enabled"] is True
         assert result["cache"]["persisted"] == outcome.n_evaluations
+
+    def test_ga_job_runs_the_bare_search(self, tmp_path):
+        # Journal, cache and artifacts wrap the search without changing it.
+        spec = _spec(searches=TestResumeBitIdentity.GA_SEARCH, datasets=("seeds",))
+        summary = CampaignRunner(spec, tmp_path / "camp").run()
+        [job] = spec.expand()
+        prepared = MinimizationPipeline(job.pipeline_config()).prepare()
+        config = GAConfig(**job.search_params(), seed=job.seed)
+        bare = HardwareAwareGA(prepared, config=config).run()
+        assert summary.outcomes[0].n_evaluations == bare.n_evaluations
+        front = json.loads(_front_bytes(tmp_path / "camp", job.job_id))["front"]
+        assert [(p["accuracy"], p["area"]) for p in front] == [
+            (p.accuracy, p.area) for p in bare.front
+        ]
 
 
 class TestTransientRetry:

@@ -150,6 +150,21 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match=rf"\['{knob}'\].*search entry"):
             CampaignSpec.from_dict(_spec_dict(pipeline=pipeline))
 
+    @pytest.mark.parametrize(
+        "search, message",
+        [
+            ({"algorithm": "random", "n_evaluations": 2, "fault_rate": 1.5}, "fault_rate"),
+            ({"algorithm": "ga", "population_size": 2}, "population_size"),
+            ({"algorithm": "grid", "fault_model": "bridging"}, "fault_model"),
+            ({"algorithm": "ga", "halving_budgets": [2, 1]}, "halving_budgets"),
+        ],
+        ids=["random-fault_rate", "ga-population_size", "grid-fault_model", "ga-halving"],
+    )
+    def test_bad_search_values_fail_at_load(self, search, message):
+        # Rejected before expansion, instead of failing every job at run time.
+        with pytest.raises(ValueError, match=rf"'{search['algorithm']}'.*{message}"):
+            CampaignSpec.from_dict(_spec_dict(searches=[search]))
+
     def test_unknown_top_level_field_rejected(self):
         with pytest.raises(ValueError, match="Unknown campaign fields"):
             CampaignSpec.from_dict(_spec_dict(extra_field=1))

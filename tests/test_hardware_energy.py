@@ -6,7 +6,6 @@ from repro.bespoke import BespokeConfig, synthesize
 from repro.hardware.energy import (
     DEFAULT_PRINTED_BATTERY_MWH,
     battery_life_comparison,
-    energy_gain,
     energy_per_inference,
     energy_profile,
     max_inference_rate,
@@ -94,19 +93,6 @@ class TestComparisons:
         baseline, _ = reports
         breakdown = power_breakdown(baseline)
         assert sum(breakdown.values()) == pytest.approx(1.0)
-
-    def test_energy_gain_greater_than_one_for_minimized(self, reports):
-        baseline, minimized = reports
-        gains = energy_gain(minimized, baseline)
-        assert gains["power_gain"] > 1.0
-        assert gains["energy_gain"] > 1.0
-        assert gains["speedup"] >= 1.0
-
-    def test_energy_gain_identity(self, reports):
-        baseline, _ = reports
-        gains = energy_gain(baseline, baseline)
-        assert gains["power_gain"] == pytest.approx(1.0)
-        assert gains["energy_gain"] == pytest.approx(1.0)
 
     def test_battery_life_comparison(self, reports):
         baseline, minimized = reports

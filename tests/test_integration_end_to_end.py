@@ -20,7 +20,7 @@ from repro.bespoke import (
 )
 from repro.clustering import cluster_and_finetune
 from repro.core import best_area_gain_at_loss, pareto_front
-from repro.hardware import energy_gain
+from repro.hardware import battery_life_comparison, energy_per_inference
 from repro.pruning import prune_by_magnitude
 from repro.quantization import QATConfig, quantize_aware_train
 from repro.reliability import FaultInjectionConfig, run_fault_injection
@@ -63,9 +63,9 @@ class TestCombinedMinimizationStory:
 
     def test_power_and_energy_follow_area(self, prepared, minimized_design):
         _, _, report = minimized_design
-        gains = energy_gain(report, prepared.baseline_point.report)
-        assert gains["power_gain"] > 1.3
-        assert gains["energy_gain"] > 1.3
+        baseline = prepared.baseline_point.report
+        assert baseline.power / report.power > 1.3
+        assert energy_per_inference(baseline) / energy_per_inference(report) > 1.3
 
     def test_circuit_is_functionally_the_model(self, prepared, minimized_design):
         model, config, _ = minimized_design
@@ -107,6 +107,19 @@ class TestSweepToArtefacts:
         assert all(path.exists() for path in paths.values())
         figure = sweep_plot(sweep)
         assert "q" in figure and "B" in figure
+
+    def test_best_quantized_design_saves_power_energy_and_battery(self, prepared_pipeline):
+        """Power and energy follow area: the smallest quantized design within
+        the 5 % accuracy budget is also the more power-efficient one."""
+        prepared = prepared_pipeline.prepare()
+        points = prepared_pipeline.run_technique("quantization")
+        best = best_area_gain_at_loss(points, prepared.baseline_point, 0.05)
+        design = next(p for p in points if p.parameters == best.parameters).report
+        baseline = prepared.baseline_point.report
+        assert baseline.power / design.power > 1.5
+        assert energy_per_inference(baseline) / energy_per_inference(design) > 1.5
+        battery = battery_life_comparison(design, baseline, inferences_per_second=1.0)
+        assert battery["lifetime_gain"] > 1.5
 
     def test_quantized_points_agree_between_accuracy_and_circuit(self, prepared_pipeline):
         """The accuracy reported by a sweep point must be reproducible by

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.pruning import prune_by_magnitude
-from repro.quantization import attach_quantizers
+from repro.quantization import QATConfig, attach_quantizers, quantize_aware_train
 from repro.reliability import (
     FAULT_MODELS,
     FaultInjectionConfig,
@@ -171,6 +171,28 @@ class TestCampaigns:
         assert set(comparison) == {"baseline", "quantized"}
         for result in comparison.values():
             assert 0.0 <= result.mean_accuracy <= 1.0
+
+    def test_minimized_design_stays_functional_under_defects(self, seeds_model, seeds_data):
+        minimized = seeds_model.clone()
+        prune_by_magnitude(minimized, 0.4)
+        quantize_aware_train(minimized, seeds_data, QATConfig(weight_bits=4, epochs=8), seed=0)
+        comparison = compare_fault_tolerance(
+            {"baseline": seeds_model, "minimized": minimized},
+            seeds_data.test.features,
+            seeds_data.test.labels,
+            FaultInjectionConfig(
+                fault_rate=0.05, fault_model="open", weight_bits=8, n_trials=15, seed=0
+            ),
+        )
+        # Both designs stay functional at a 5 % defect rate; the minimized one
+        # has fewer redundant connections, so some extra drop is expected.
+        assert comparison["baseline"].mean_accuracy > 0.6
+        assert comparison["minimized"].mean_accuracy > 0.6
+        extra_drop = (
+            comparison["minimized"].mean_accuracy_drop
+            - comparison["baseline"].mean_accuracy_drop
+        )
+        assert extra_drop < 0.25
 
 
 class TestGoldenRegression:

@@ -15,8 +15,13 @@ import pytest
 
 from repro.campaign import SearchSpec, evaluation_context_key
 from repro.cli import build_parser
-from repro.core import MinimizationPipeline, PipelineConfig
-from repro.search import GAConfig, HardwareAwareGA, resolve_evaluation_settings
+from repro.core import MinimizationPipeline, PipelineConfig, hypervolume_objectives
+from repro.search import (
+    GAConfig,
+    HardwareAwareGA,
+    objectives_of,
+    resolve_evaluation_settings,
+)
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "surrogate_off_front_golden.json"
 
@@ -130,6 +135,97 @@ class TestSurrogateOnGA:
         ).run()
         assert result.front
         assert result.generations[-1]["surrogate_fits"] >= 0
+
+
+class TestEvaluationsSavedFloor:
+    """The surrogate's acceptance floor on the 3-objective figure2 workload.
+
+    A plain NSGA-II run and a surrogate-assisted run share the pipeline and
+    the GA budget of one configuration. The assisted run must use at least
+    ``min_saved`` times fewer real evaluations while keeping at least
+    :data:`MIN_HYPERVOLUME_RATIO` of the plain run's hypervolume, and its
+    short-budget halving races must cost less than the evaluations saved.
+    Both runs are seeded, so every number is reproducible bit for bit.
+    """
+
+    #: Fixed nadir for the minimized objectives (accuracy loss, normalized
+    #: area, robust accuracy loss): all three are <= 1 for any point that
+    #: beats "predict nothing", so hypervolumes stay comparable across runs.
+    REFERENCE = (1.1, 1.1, 1.1)
+    MIN_HYPERVOLUME_RATIO = 0.98
+    FINETUNE_EPOCHS = 4
+
+    #: name -> (GA budget, surrogate knobs, minimum evaluations saved).
+    CONFIGURATIONS = {
+        "smoke": (
+            dict(population_size=10, n_generations=20),
+            dict(surrogate_candidates=4, surrogate_prefilter=0.2),
+            3.0,
+        ),
+        "default": (
+            dict(population_size=20, n_generations=20),
+            dict(surrogate_candidates=8, surrogate_prefilter=0.1),
+            5.0,
+        ),
+        "full": (
+            dict(population_size=20, n_generations=28),
+            dict(surrogate_candidates=8, surrogate_prefilter=0.1),
+            5.0,
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def prepared(self):
+        return MinimizationPipeline(
+            PipelineConfig(
+                dataset="whitewine",
+                seed=0,
+                train_epochs=25,
+                finetune_epochs=self.FINETUNE_EPOCHS,
+                bit_range=(2, 4, 6),
+                sparsity_range=(0.3, 0.5),
+                cluster_range=(2, 4),
+                n_samples=500,
+            )
+        ).prepare()
+
+    def _hypervolume(self, result, prepared):
+        objectives = [
+            objectives_of(point, prepared.baseline_point, robust=True)
+            for point in result.front
+        ]
+        return hypervolume_objectives(objectives, self.REFERENCE)
+
+    @pytest.mark.parametrize("configuration", list(CONFIGURATIONS))
+    def test_fewer_real_evaluations_at_kept_hypervolume(self, prepared, configuration):
+        budget, surrogate_knobs, min_saved = self.CONFIGURATIONS[configuration]
+        budgets = (1, 2)
+        shared = dict(
+            finetune_epochs=self.FINETUNE_EPOCHS, seed=0, fault_rate=0.05,
+            n_fault_trials=4, **budget,
+        )
+        plain = HardwareAwareGA(prepared, config=GAConfig(**shared)).run()
+        assisted = HardwareAwareGA(
+            prepared,
+            config=GAConfig(
+                surrogate="ridge", halving_budgets=budgets, **surrogate_knobs, **shared
+            ),
+        ).run()
+
+        evaluations_saved = plain.n_evaluations / assisted.n_evaluations
+        hypervolume_ratio = self._hypervolume(assisted, prepared) / self._hypervolume(
+            plain, prepared
+        )
+        assert evaluations_saved >= min_saved
+        assert hypervolume_ratio >= self.MIN_HYPERVOLUME_RATIO
+        # The short-budget races cost budget/finetune_epochs of a full
+        # evaluation each; a runaway halving schedule must not eat the win.
+        saved = plain.n_evaluations - assisted.n_evaluations
+        partial_cost = sum(
+            assisted.n_partial_evaluations * b / (self.FINETUNE_EPOCHS * len(budgets))
+            for b in budgets
+        )
+        assert partial_cost < saved
 
 
 class TestKnobValidationAndInheritance:
