@@ -9,6 +9,7 @@ renderers are intentionally dependency-free.
 from __future__ import annotations
 
 import io
+import math
 from typing import Dict, List, Optional, Sequence
 
 from ..core.pareto import pareto_front
@@ -137,8 +138,14 @@ def gains_table(
     gains_by_dataset: Dict[str, Dict[str, Optional[float]]],
     paper_values: Optional[Dict[str, float]] = None,
     markdown: bool = False,
+    average_values: Optional[Dict[str, float]] = None,
 ) -> str:
-    """Area-gain-at-budget summary across datasets (the paper's headline table)."""
+    """Area-gain-at-budget summary across datasets (the paper's headline table).
+
+    ``average_values`` (each technique's mean gain over the datasets, NaN
+    where it never meets the budget) adds an ``(average)`` row, and
+    ``paper_values`` the paper's own averages as a ``(paper)`` row.
+    """
     techniques = sorted({t for gains in gains_by_dataset.values() for t in gains})
     headers = ["dataset"] + techniques
     rows: List[List[object]] = []
@@ -147,6 +154,12 @@ def gains_table(
         for technique in techniques:
             gain = gains.get(technique)
             row.append("n/a" if gain is None else f"{gain:.2f}x")
+        rows.append(row)
+    if average_values:
+        row = ["(average)"]
+        for technique in techniques:
+            value = average_values.get(technique)
+            row.append("n/a" if value is None or math.isnan(value) else f"{value:.2f}x")
         rows.append(row)
     if paper_values:
         row = ["(paper)"]

@@ -37,6 +37,7 @@ import hashlib
 import io
 import json
 import mmap
+import os
 import struct
 import zipfile
 from dataclasses import dataclass
@@ -147,6 +148,24 @@ def write_front_npz(
 
 
 @dataclass(frozen=True)
+class NpzLayout:
+    """Where each member's payload sits in one npz file, and which file that was.
+
+    What the zip directory and the npy headers say, kept so a later load of
+    the unchanged file maps its members without reading either again. It
+    holds no array and no mapping.
+
+    Attributes:
+        stat: ``(mtime_ns, size, inode)`` of the file, by ``os.fstat`` on
+            the descriptor that was mapped.
+        members: ``(name, payload offset, dtype, shape)`` per member.
+    """
+
+    stat: Tuple[int, int, int]
+    members: Tuple[Tuple[str, int, np.dtype, Tuple[int, ...]], ...]
+
+
+@dataclass(frozen=True)
 class ColumnarFront:
     """One loaded ``front_<dataset>.npz`` — zero-copy views over the mapping.
 
@@ -163,6 +182,7 @@ class ColumnarFront:
         baseline: the document's decoded ``baseline`` entry.
         pareto_index: ``int64`` indices of the non-dominated subset, in
             front order.
+        layout: where the members were mapped from (see :class:`NpzLayout`).
     """
 
     path: Path
@@ -176,6 +196,7 @@ class ColumnarFront:
     rows: np.ndarray
     baseline: object
     pareto_index: np.ndarray
+    layout: NpzLayout
 
     def entries(self, start: int, stop: Optional[int]) -> List[object]:
         """The decoded front rows ``[start:stop]`` — only those are decoded."""
@@ -190,22 +211,17 @@ class ColumnarFront:
         return DesignPoint(**json.loads(self.rows[row]))
 
 
-def _mapped_members(path: Path) -> Dict[str, np.ndarray]:
-    """Every npz member as a zero-copy array over one shared ``mmap``.
+def _member_layout(buffer: mmap.mmap) -> Tuple[Tuple[str, int, np.dtype, Tuple[int, ...]], ...]:
+    """``(name, payload offset, dtype, shape)`` of every member of a mapped npz.
 
     ``np.savez`` members are uncompressed (``ZIP_STORED``), so each
     ``<name>.npy`` payload sits contiguously in the file: the zip central
     directory gives the local-header offset, the local header gives the
-    payload offset, and the npy header gives dtype/shape — after which the
-    array is one ``np.frombuffer`` over the mapping. Arrays keep the
-    mapping alive through their ``base`` reference and are read-only
-    because the mapping is, and the zip is read over it too. Raises on any
+    payload offset, and the npy header gives dtype/shape. Raises on any
     structural violation, a member set other than the version-3 four
     included (the caller treats that as corruption).
     """
-    arrays: Dict[str, np.ndarray] = {}
-    with open(path, "rb") as handle:
-        buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    members = []
     with zipfile.ZipFile(buffer) as archive:
         infos = archive.infolist()
         if sorted(info.filename for info in infos) != _MEMBER_FILES:
@@ -234,18 +250,45 @@ def _mapped_members(path: Path) -> Dict[str, np.ndarray]:
                 raise ValueError(f"unsupported npy version {npy_version}")
             if dtype.hasobject or fortran:
                 raise ValueError(f"unmappable member {info.filename!r}")
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            array = np.frombuffer(
-                buffer, dtype=dtype, count=count, offset=payload_offset + npy_header.tell()
-            ).reshape(shape)
-            arrays[info.filename[: -len(".npy")]] = array
-    return arrays
+            members.append(
+                (info.filename[: -len(".npy")], payload_offset + npy_header.tell(), dtype, shape)
+            )
+    return tuple(members)
+
+
+def _mapped_members(
+    path: Path, layout: Optional[NpzLayout] = None
+) -> Tuple[Dict[str, np.ndarray], NpzLayout]:
+    """Every npz member as a zero-copy array over one shared ``mmap``, and its layout.
+
+    The file is mapped once. When ``layout`` was taken from the same file
+    (its ``stat`` equals this descriptor's ``fstat``), the members are
+    mapped at its offsets; otherwise the zip directory and npy headers are
+    read over the mapping (:func:`_member_layout`). Each array is one
+    ``np.frombuffer`` over the mapping, which raises if a payload runs past
+    its end; arrays keep the mapping alive through their ``base``
+    reference and are read-only because the mapping is.
+    """
+    with open(path, "rb") as handle:
+        stat = os.fstat(handle.fileno())
+        buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    signature = (stat.st_mtime_ns, stat.st_size, stat.st_ino)
+    if layout is None or layout.stat != signature:
+        layout = NpzLayout(stat=signature, members=_member_layout(buffer))
+    arrays: Dict[str, np.ndarray] = {}
+    for name, offset, dtype, shape in layout.members:
+        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        arrays[name] = np.frombuffer(buffer, dtype=dtype, count=count, offset=offset).reshape(
+            shape
+        )
+    return arrays, layout
 
 
 def load_front_npz(
     path: Union[str, Path],
     expected_sha256: Optional[str] = None,
     dataset: Optional[str] = None,
+    layout: Optional[NpzLayout] = None,
 ) -> Optional[ColumnarFront]:
     """Load one columnar front, mmap-backed; ``None`` on any mismatch.
 
@@ -253,11 +296,15 @@ def load_front_npz(
     foreign-version or stale file (``expected_sha256`` / ``dataset``
     disagreeing with the stamps), so callers can always fall back to the
     canonical JSON path. The returned arrays are zero-copy views over a
-    shared read-only mapping.
+    shared read-only mapping. ``layout`` is the :attr:`ColumnarFront.layout`
+    of an earlier load of ``path``: while the file's ``fstat`` still
+    matches it, the members are mapped without reading the zip directory
+    or the npy headers again. Every check on the members and the meta runs
+    either way.
     """
     path = Path(path)
     try:
-        arrays = _mapped_members(path)
+        arrays, layout = _mapped_members(path, layout)
         meta = json.loads(arrays["meta"][()])
         if meta["version"] != COLUMNAR_VERSION:
             return None
@@ -291,6 +338,7 @@ def load_front_npz(
             rows=rows,
             baseline=meta["baseline"],
             pareto_index=pareto_index,
+            layout=layout,
         )
     except Exception:  # noqa: BLE001 - any damage means "no columnar view"
         return None
@@ -300,6 +348,7 @@ __all__ = [
     "COLUMNAR_VERSION",
     "FRONT_COLUMNS",
     "ColumnarFront",
+    "NpzLayout",
     "build_columns",
     "front_npz_path",
     "load_front_npz",

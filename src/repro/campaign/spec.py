@@ -42,7 +42,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.config import PipelineConfig, fast_config
 from ..datasets.registry import resolve_dataset_names
+from ..search.exhaustive import random_budget
 from ..search.ga import GAConfig
+from ..search.genome import GenomeSpace
 from ..search.settings import FAULT_KNOBS, EvaluationSettings, resolve_evaluation_settings
 
 #: Search algorithms a campaign job may request.
@@ -168,12 +170,20 @@ def search_settings(
     Jobs build their search through this, and :meth:`SearchSpec.from_dict`
     builds it once at load, so a bad value fails there rather than in
     every job. A ``random`` or ``grid`` search fine-tunes for
-    ``pipeline_config``'s epochs (the settings default without one).
+    ``pipeline_config``'s epochs (the settings default without one). A
+    ``random`` budget and the ``grid`` gene alphabets go through the checks
+    :func:`~repro.search.exhaustive.random_search` and
+    :func:`~repro.search.exhaustive.grid_search` apply.
     """
     if algorithm == "ga":
         ga_config = GAConfig(**params, seed=seed)
         return ga_config, resolve_evaluation_settings(ga_config=ga_config)
     fault_knobs = {name: params[name] for name in FAULT_KNOBS if name in params}
+    search_params = {name: value for name, value in params.items() if name not in FAULT_KNOBS}
+    if algorithm == "grid":
+        GenomeSpace(1, **search_params)
+    elif "n_evaluations" in search_params:
+        random_budget(search_params["n_evaluations"])  # type: ignore[arg-type]
     return None, resolve_evaluation_settings(pipeline_config, **fault_knobs)
 
 

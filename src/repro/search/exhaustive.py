@@ -51,6 +51,13 @@ def _distinct_points(
     return distinct
 
 
+def random_budget(n_evaluations: int) -> int:
+    """A random search's budget of distinct genomes (``ValueError`` below 1)."""
+    if n_evaluations < 1:
+        raise ValueError(f"n_evaluations must be >= 1, got {n_evaluations}")
+    return int(n_evaluations)
+
+
 def random_search(
     prepared: PreparedPipeline,
     n_evaluations: int = 64,
@@ -66,8 +73,7 @@ def random_search(
     :func:`repro.core.pareto.pareto_front`). ``cache`` injects a prebuilt
     evaluation cache (e.g. the campaign layer's persistent backend).
     """
-    if n_evaluations < 1:
-        raise ValueError(f"n_evaluations must be >= 1, got {n_evaluations}")
+    n_evaluations = random_budget(n_evaluations)
     space = space if space is not None else GenomeSpace(
         n_layers=len(prepared.baseline_model.dense_layers)
     )
@@ -104,6 +110,8 @@ def grid_search(
     of depth — tractable for the coarse comparison grid used by the ablation.
     """
     n_layers = len(prepared.baseline_model.dense_layers)
+    # The genome space rejects an empty alphabet, which would sweep nothing.
+    GenomeSpace(n_layers, bit_choices, sparsity_choices, cluster_choices)
     genomes = [
         Genome(
             weight_bits=(int(bits),) * n_layers,

@@ -7,10 +7,11 @@ of times per second:
 
 * :class:`FrontStore` indexes one or more campaign directories. Each
   dataset's front document is loaded once into a :class:`FrontView` —
-  the exact raw bytes (pinned by golden byte-identity tests) plus a
-  *columnar* view (read-only ``float64`` arrays per objective) that the
-  query engine filters and sorts without touching Python objects on the
-  hot path. When the report wrote a ``front_<dataset>.npz`` sibling
+  the exact raw bytes (pinned by golden byte-identity tests, read on
+  first use when the load did not need them) plus a *columnar* view
+  (read-only ``float64`` arrays per objective) that the query engine
+  filters and sorts without touching Python objects on the hot path.
+  When the report wrote a ``front_<dataset>.npz`` sibling
   (:mod:`repro.campaign.columnar`), the columns come from an mmap-backed
   zero-copy load — no JSON decode, no per-row ``DesignPoint``
   construction, no Pareto merge — validated against the JSON bytes via
@@ -24,6 +25,15 @@ of times per second:
   counters), so the serving layer's memory ceiling is tuned the same way
   the evaluator's is. Evicted views are re-deserialized from disk on the
   next access; results are unchanged, only latency is affected.
+* What a cached load proved outlives the view: one small memo record per
+  ``(campaign, dataset)`` holds the JSON's stat signature and SHA-256,
+  and the npz's member layout under its own ``fstat``. A miss of an
+  unchanged JSON trusts the recorded SHA-256 (as a hit trusts the same
+  signature) and reads no JSON; an unchanged npz maps without its zip
+  directory or npy headers being parsed again. The JSON bytes of such a
+  view are read on first use and checked against the signature and the
+  SHA-256 (:attr:`FrontView.raw`). The memo holds no array and no
+  mapping, and is bounded by the number of fronts, not by the LRU.
 * Every access revalidates the cached view against the file's stat
   signature (mtime, size, inode) and the campaign's report fingerprint from
   ``summary.json`` — rewriting a report invalidates exactly the views it
@@ -45,8 +55,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import threading
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -55,6 +67,7 @@ import numpy as np
 from ..campaign.columnar import (
     FRONT_COLUMNS,
     ColumnarFront,
+    NpzLayout,
     build_columns,
     front_npz_path,
     load_front_npz,
@@ -115,11 +128,37 @@ def combine_fingerprints(views: Sequence["FrontView"]) -> str:
     return digest.hexdigest()
 
 
+class StaleViewError(Exception):
+    """A view's front file no longer holds the bytes the view was loaded from."""
+
+
+def _read_front(path: Path, signature: Tuple[object, ...], fingerprint: str) -> bytes:
+    """The front file's bytes, if it is still the file ``signature`` and ``fingerprint`` name.
+
+    The stat is taken on the descriptor the bytes are read from, so a
+    rename between the check and the read cannot slip in another file.
+    Raises :class:`StaleViewError` on a changed or vanished file, or on
+    bytes whose SHA-256 is not ``fingerprint``.
+    """
+    try:
+        with open(path, "rb") as handle:
+            stat = os.fstat(handle.fileno())
+            if (stat.st_mtime_ns, stat.st_size, stat.st_ino) != signature[:3]:
+                raise StaleViewError(str(path))
+            raw = handle.read()
+    except OSError as error:
+        raise StaleViewError(str(path)) from error
+    if hashlib.sha256(raw).hexdigest() != fingerprint:
+        raise StaleViewError(str(path))
+    return raw
+
+
 class FrontView:
     """One campaign's front for one dataset (immutable snapshot, lazy rows).
 
-    The always-present state is columnar: the exact raw JSON bytes, the
-    read-only objective arrays, and the precomputed Pareto index. Design
+    The always-present state is columnar: the read-only objective arrays
+    and the precomputed Pareto index. The exact raw JSON bytes are held
+    from the load when it read them, and read on first use otherwise. Design
     points and the Pareto column slices materialize lazily and are cached
     — an npz-backed view answers constraint/top-k queries and pages
     without ever decoding the document or constructing a
@@ -129,9 +168,15 @@ class FrontView:
     Attributes:
         dataset: the dataset the front belongs to.
         campaign: the campaign directory the document came from.
-        raw: the exact bytes of ``report/front_<dataset>.json`` — what the
-            HTTP layer returns for single-campaign stores (byte-identical
-            to the file, pinned by golden tests).
+        path: the ``report/front_<dataset>.json`` file behind the view.
+        raw: the exact bytes of ``path`` — what the HTTP layer returns for
+            single-campaign stores (byte-identical to the file, pinned by
+            golden tests). A view loaded from the npz without reading the
+            JSON reads it on first use, from a descriptor whose ``fstat``
+            must still match :attr:`signature`, and checks the bytes'
+            SHA-256 against :attr:`fingerprint`; either mismatch raises
+            :class:`StaleViewError`, so the bytes never disagree with the
+            view's ETag.
         robust: whether every point carries ``robust_accuracy`` (the
             condition under which the union merge uses the third axis).
         fault_rate: the campaign's fault-injection rate, recovered from
@@ -156,7 +201,8 @@ class FrontView:
         *,
         dataset: str,
         campaign: Path,
-        raw: bytes,
+        path: Path,
+        raw: Optional[bytes],
         robust: bool,
         fault_rate: Optional[float],
         columns: Mapping[str, np.ndarray],
@@ -170,7 +216,8 @@ class FrontView:
     ) -> None:
         self.dataset = dataset
         self.campaign = campaign
-        self.raw = raw
+        self.path = path
+        self._raw = raw
         self.robust = robust
         self.fault_rate = fault_rate
         self.columns = columns
@@ -184,6 +231,13 @@ class FrontView:
         self._point_cache: Dict[int, DesignPoint] = {}
         self._pareto_points: Optional[Tuple[DesignPoint, ...]] = None
         self._pareto_columns: Optional[Mapping[str, np.ndarray]] = None
+
+    @property
+    def raw(self) -> bytes:
+        """The front file's exact bytes (read and verified on first use; see the class doc)."""
+        if self._raw is None:
+            self._raw = _read_front(self.path, self.signature, self.fingerprint)
+        return self._raw
 
     @property
     def n_points(self) -> int:
@@ -294,6 +348,22 @@ def _report_fingerprint(campaign: Path) -> Optional[str]:
     return None
 
 
+@dataclass(frozen=True)
+class _FrontMemo:
+    """What the last cached load of one front proved; it outlives LRU eviction.
+
+    Attributes:
+        signature: the front JSON's invalidation token at that load.
+        fingerprint: SHA-256 hex of the JSON bytes under ``signature``.
+        layout: the npz member layout that load mapped (``None`` after a
+            JSON load).
+    """
+
+    signature: Tuple[object, ...]
+    fingerprint: str
+    layout: Optional[NpzLayout]
+
+
 class FrontStore:
     """Queryable index over the fronts of one or more campaign directories.
 
@@ -321,6 +391,13 @@ class FrontStore:
         self._fingerprints: Dict[Path, Optional[str]] = {
             campaign: _report_fingerprint(campaign) for campaign in self.campaigns
         }
+        # Per (campaign, dataset): the front's JSON and npz paths, built once
+        # the JSON exists, and the memo a cache miss of an unchanged front
+        # loads from. Both are bounded by the number of fronts on disk, not
+        # by ``max_entries``; neither holds an array or a mapping, so an
+        # evicted view still releases its mmap.
+        self._paths: Dict[Tuple[str, str], Tuple[Path, Path]] = {}
+        self._memo: Dict[Tuple[str, str], _FrontMemo] = {}
         self._npz_loads = 0
         self._json_loads = 0
 
@@ -349,46 +426,70 @@ class FrontStore:
 
         Every report write replaces the file (``os.replace``), which gives it
         a new inode, so a same-size rewrite inside one mtime tick still
-        changes the token.
+        changes the token. The front's paths are built once, and kept once
+        the file exists.
         """
+        key = (str(campaign), dataset)
+        paths = self._paths.get(key)
+        if paths is None:
+            path = self.front_path(campaign, dataset)
+            paths = (path, front_npz_path(path))
         try:
-            stat = self.front_path(campaign, dataset).stat()
+            stat = os.stat(paths[0])
         except OSError:
             return None
+        self._paths[key] = paths
         return (stat.st_mtime_ns, stat.st_size, stat.st_ino, self._fingerprints.get(campaign))
 
     def _load_view(
-        self, campaign: Path, dataset: str, signature: Optional[Tuple[object, ...]]
+        self,
+        campaign: Path,
+        dataset: str,
+        signature: Optional[Tuple[object, ...]],
+        memo: Optional[_FrontMemo],
     ) -> Optional[FrontView]:
         """Load one front under its pre-read stat ``signature``; ``None`` if missing or corrupt.
 
         Prefers the columnar ``front_<dataset>.npz`` sibling when its
         embedded SHA-256 matches the JSON bytes about to be served — an
         mmap-backed load that skips JSON decode, point construction and
-        the Pareto merge entirely. Any mismatch (stale npz after a
-        partial rewrite, torn file, foreign version) falls back to the
-        JSON path, which produces byte-identical query results (golden
-        A/B pinned). A torn or truncated JSON document (external
-        corruption — the report writer is atomic) is treated as absent
-        rather than served: the union falls back to whatever healthy
-        campaigns still cover the dataset, and :meth:`refresh` will pick
-        the file up once repaired.
+        the Pareto merge entirely. When ``memo`` was recorded under this
+        same ``signature``, its fingerprint stands in for hashing the JSON,
+        which is then not read at all (:attr:`FrontView.raw` reads it on
+        first use), and its npz layout lets an unchanged npz map without
+        parsing its zip directory. Any mismatch (stale npz after a
+        partial rewrite, torn file, foreign version) falls back to reading
+        and hashing the JSON, and from there to the JSON path, which
+        produces byte-identical query results (golden A/B pinned). A torn
+        or truncated JSON document (external corruption — the report
+        writer is atomic) is treated as absent rather than served: the
+        union falls back to whatever healthy campaigns still cover the
+        dataset, and :meth:`refresh` will pick the file up once repaired.
         """
         if signature is None:
             return None
-        path = self.front_path(campaign, dataset)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None
-        fingerprint = hashlib.sha256(raw).hexdigest()
-        columnar = load_front_npz(front_npz_path(path), expected_sha256=fingerprint)
+        # Kept by the _signature call that read ``signature``.
+        path, npz_path = self._paths[(str(campaign), dataset)]
+        layout = None if memo is None else memo.layout
+        columnar = None
+        if memo is not None and memo.signature == signature:
+            fingerprint = memo.fingerprint
+            columnar = load_front_npz(npz_path, expected_sha256=fingerprint, layout=layout)
+        raw: Optional[bytes] = None
+        if columnar is None:
+            try:
+                raw = path.read_bytes()
+            except OSError:
+                return None
+            fingerprint = hashlib.sha256(raw).hexdigest()
+            columnar = load_front_npz(npz_path, expected_sha256=fingerprint, layout=layout)
         if columnar is not None:
             with self._lock:
                 self._npz_loads += 1
             return FrontView(
                 dataset=dataset,
                 campaign=campaign,
+                path=path,
                 raw=raw,
                 robust=columnar.robust,
                 fault_rate=self._campaign_fault_rate(campaign),
@@ -399,6 +500,7 @@ class FrontStore:
                 signature=signature,
                 columnar=columnar,
             )
+        assert raw is not None
         try:
             document = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
@@ -420,6 +522,7 @@ class FrontStore:
         return FrontView(
             dataset=dataset,
             campaign=campaign,
+            path=path,
             raw=raw,
             robust=robust,
             fault_rate=self._campaign_fault_rate(campaign),
@@ -454,18 +557,35 @@ class FrontStore:
                 self._cache.hits += 1
                 return cached
             self._cache.misses += 1
-        view = self._load_view(campaign, dataset, signature)
+            memo = self._memo.get(key)
+        view = self._load_view(campaign, dataset, signature, memo)
         with self._lock:
             if view is None:
                 self._cache.pop(key)
                 return None
-            # Only cache the view if the file hasn't changed since the
-            # load started — a racing writer's fresher view must not be
-            # clobbered by this stale one. The caller still gets the
+            # Only cache (and memoize) the view if the file hasn't changed
+            # since the load started — a racing writer's fresher view must
+            # not be clobbered by this stale one. The caller still gets the
             # snapshot that was valid when it was read.
             if view.signature == self._signature(campaign, dataset):
                 self._cache.put(key, view)
+                columnar = view._columnar
+                self._memo[key] = _FrontMemo(
+                    view.signature,
+                    view.fingerprint,
+                    None if columnar is None else columnar.layout,
+                )
             return view
+
+    def _forget(self, view: FrontView) -> None:
+        """Drop ``view`` and its memo record, so the next access rereads the file."""
+        key = (str(view.campaign), view.dataset)
+        with self._lock:
+            if self._cache.get(key) is view:
+                self._cache.pop(key)
+            memo = self._memo.get(key)
+            if memo is not None and memo.signature == view.signature:
+                del self._memo[key]
 
     def views(
         self, dataset: str, fault_rate: Optional[float] = None
@@ -523,8 +643,15 @@ class FrontStore:
 
         Both halves come from one snapshot of views, so the fingerprint —
         the HTTP layer's ETag — always tags exactly the bytes returned
-        beside it (see :func:`combine_fingerprints`).
+        beside it (see :func:`combine_fingerprints`). A single view whose
+        file changed before its bytes were first read (see
+        :attr:`FrontView.raw`) is dropped and loaded again, once.
         """
+        views = self.views(dataset)
+        try:
+            return self._served(dataset, views)
+        except StaleViewError:
+            self._forget(views[0])
         return self._served(dataset, self.views(dataset))
 
     def page(
@@ -647,6 +774,9 @@ class FrontStore:
                 if view.signature != self._signature(Path(campaign_text), dataset):
                     self._cache.pop(key)
                     invalidated += 1
+            for key, memo in list(self._memo.items()):
+                if memo.signature != self._signature(Path(key[0]), key[1]):
+                    del self._memo[key]
             return {
                 "datasets": len(self.datasets()),
                 "cached": len(self._cache),
@@ -673,6 +803,7 @@ __all__ = [
     "FRONT_COLUMNS",
     "FrontStore",
     "FrontView",
+    "StaleViewError",
     "UnknownDatasetError",
     "build_columns",
     "combine_fingerprints",

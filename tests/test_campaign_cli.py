@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign import runner as runner_module
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -102,10 +103,13 @@ class TestCampaignVerbs:
         ) == 1
         assert "Shard" in capsys.readouterr().out
 
-    def test_failed_job_exits_nonzero(self, tmp_path, capsys):
+    def test_failed_job_exits_nonzero(self, tmp_path, capsys, monkeypatch):
+        def failing_search(*args, **kwargs):
+            raise RuntimeError("search failed")
+
+        monkeypatch.setattr(runner_module, "random_search", failing_search)
         spec = dict(_SPEC)
         spec["datasets"] = ["seeds"]
-        spec["searches"] = [{"algorithm": "random", "n_evaluations": 0}]
         spec_path = _write_spec(tmp_path, spec)
         out = str(tmp_path / "camp")
         assert main(["campaign", "run", "--spec", str(spec_path), "--out", out]) == 1

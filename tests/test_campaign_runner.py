@@ -23,8 +23,15 @@ from repro.campaign import (
     format_report,
     write_report,
 )
+from repro.campaign import runner as runner_module
 from repro.core import MinimizationPipeline
-from repro.search import EvaluationSettings, GAConfig, HardwareAwareGA, SerialEvaluator
+from repro.search import (
+    EvaluationSettings,
+    GAConfig,
+    HardwareAwareGA,
+    SerialEvaluator,
+    random_search,
+)
 
 #: Small enough to keep every runner test under a second per campaign.
 _PIPELINE = {"train_epochs": 3, "n_samples": 120, "finetune_epochs": 1}
@@ -41,6 +48,13 @@ def _spec(searches=None, datasets=("seeds", "redwine"), seeds=(0,)):
             or [{"algorithm": "random", "n_evaluations": 3}],
         }
     )
+
+
+def _search_failing_at_budget_one(prepared, n_evaluations, **kwargs):
+    """``random_search``, except that a budget of one raises at run time."""
+    if n_evaluations == 1:
+        raise RuntimeError("search failed")
+    return random_search(prepared, n_evaluations=n_evaluations, **kwargs)
 
 
 def _front_bytes(directory, job_id):
@@ -119,11 +133,12 @@ class TestRunnerBasics:
         assert summary.ok
         assert list(bounds_seen.values()) == [5]
 
-    def test_failed_job_does_not_sink_the_campaign(self, tmp_path):
-        # A random search of zero evaluations loads but fails at job start.
+    def test_failed_job_does_not_sink_the_campaign(self, tmp_path, monkeypatch):
+        # The "broken" search raises at run time, in every job it makes.
+        monkeypatch.setattr(runner_module, "random_search", _search_failing_at_budget_one)
         spec = _spec(
             searches=[
-                {"algorithm": "random", "name": "empty", "n_evaluations": 0},
+                {"algorithm": "random", "name": "broken", "n_evaluations": 1},
                 {"algorithm": "random", "n_evaluations": 2},
             ]
         )

@@ -157,8 +157,17 @@ class TestCampaignSpec:
             ({"algorithm": "ga", "population_size": 2}, "population_size"),
             ({"algorithm": "grid", "fault_model": "bridging"}, "fault_model"),
             ({"algorithm": "ga", "halving_budgets": [2, 1]}, "halving_budgets"),
+            ({"algorithm": "random", "n_evaluations": 0}, "n_evaluations"),
+            ({"algorithm": "grid", "bit_choices": []}, "alphabets"),
         ],
-        ids=["random-fault_rate", "ga-population_size", "grid-fault_model", "ga-halving"],
+        ids=[
+            "random-fault_rate",
+            "ga-population_size",
+            "grid-fault_model",
+            "ga-halving",
+            "random-n_evaluations",
+            "grid-empty-alphabet",
+        ],
     )
     def test_bad_search_values_fail_at_load(self, search, message):
         # Rejected before expansion, instead of failing every job at run time.

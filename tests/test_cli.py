@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core import profiling
+from repro.experiments import PAPER_HEADLINE_GAINS
 
 
 class TestParser:
@@ -81,6 +82,21 @@ class TestCommands:
         assert "normalized area" in output            # the ASCII plot legend
         assert (tmp_path / "out" / "seeds_sweep.json").exists()
         assert (tmp_path / "out" / "seeds_points.csv").exists()
+
+    def test_figure1_prints_the_measured_averages_next_to_the_paper(self, capsys):
+        assert main(["figure1", "--dataset", "seeds", "--fast"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # The gains table comes last, after the sweep table.
+        start = max(i for i, line in enumerate(lines) if line.startswith("dataset "))
+        table = [line.split() for line in lines[start:]]
+        assert table[0] == ["dataset", "clustering", "pruning", "quantization"]
+        labels = [row[0] for row in table[2:]]
+        assert labels == ["seeds", "(average)", "(paper)"]
+        # Over one dataset, the average is that dataset's own gain.
+        assert table[3][1:] == table[2][1:]
+        assert table[4][1:] == [
+            f"{PAPER_HEADLINE_GAINS[technique]:.1f}x" for technique in table[0][1:]
+        ]
 
     def test_figure2_command_small_ga(self, capsys):
         exit_code = main(

@@ -9,9 +9,14 @@ degrade it to the canonical JSON path.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
 import json
+import mmap
+import os
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +35,7 @@ from repro.campaign.report import write_report
 from repro.core.pareto import pareto_front, pareto_front_indices, pareto_front_reference
 from repro.core.results import DesignPoint
 from repro.serving import FrontStore, QueryEngine
+from repro.serving.store import StaleViewError
 from strategies import front_documents, front_query_payloads
 
 DOC = {
@@ -366,3 +372,197 @@ def test_vectorized_pareto_indices_match_the_reference_loop(document):
     indexed = [points[i] for i in pareto_front_indices(points, robust=robust)]
     assert indexed == pareto_front_reference(points, robust=robust)
     assert pareto_front(points, robust=robust) == indexed
+
+
+# -- cold misses of unchanged fronts -------------------------------------------------
+
+OTHER = dict(DOC, dataset="cardio", front=DOC["front"][:2])
+
+
+def write_two_fronts(root):
+    """One campaign serving DOC (``seeds``) and OTHER (``cardio``), each with its npz."""
+    campaign, seeds_json = write_campaign(root, DOC)
+    cardio_json = campaign / REPORT_DIR / "front_cardio.json"
+    write_json_atomic(cardio_json, OTHER)
+    write_front_npz(cardio_json, fingerprint="test-fingerprint")
+    return campaign, {"seeds": seeds_json, "cardio": cardio_json}
+
+
+def answers(store, dataset):
+    """Every golden query's response body and the whole page, for ``dataset``."""
+    payloads = [dict(payload, dataset=dataset) for payload in GOLDEN_PAYLOADS]
+    page = json.dumps(store.page(dataset, 0, None), sort_keys=True)
+    return query_documents(QueryEngine(store), payloads), page
+
+
+def count_loads(monkeypatch):
+    """Count SHA-256 hashes, zip directory reads and npy header parses from now on."""
+    counts = {"sha256": 0, "zip": 0, "npy_header": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(hashlib, "sha256", counting("sha256", hashlib.sha256))
+    monkeypatch.setattr(zipfile, "ZipFile", counting("zip", zipfile.ZipFile))
+    header = np.lib.format.read_array_header_1_0
+    monkeypatch.setattr(np.lib.format, "read_array_header_1_0", counting("npy_header", header))
+    return counts
+
+
+def replace_file(path, payload):
+    """Replace ``path`` atomically (a new inode), as the report writer does."""
+    temporary = path.with_name(path.name + ".tmp")
+    temporary.write_bytes(payload)
+    os.replace(temporary, path)
+
+
+def test_an_unchanged_npz_maps_from_its_layout_without_reading_the_zip(campaign, monkeypatch):
+    _, json_path = campaign
+    npz_path = front_npz_path(json_path)
+    first = load_front_npz(npz_path)
+    counts = count_loads(monkeypatch)
+    again = load_front_npz(npz_path, layout=first.layout)
+    assert (counts["zip"], counts["npy_header"]) == (0, 0)
+    assert again.layout == first.layout
+    for name in FRONT_COLUMNS:
+        np.testing.assert_array_equal(again.columns[name], first.columns[name])
+    assert list(again.rows) == list(first.rows)
+    assert list(again.pareto_index) == list(first.pareto_index)
+    replace_file(npz_path, npz_path.read_bytes())  # same bytes, another inode
+    assert load_front_npz(npz_path, layout=first.layout) is not None
+    assert (counts["zip"], counts["npy_header"]) == (1, 4)
+
+
+def test_alternating_cold_misses_hash_and_parse_each_front_once(tmp_path, monkeypatch):
+    campaign, _ = write_two_fronts(tmp_path)
+    fresh = FrontStore(campaign)
+    expected = {dataset: answers(fresh, dataset) for dataset in ("seeds", "cardio")}
+    fronts = {dataset: fresh.front(dataset) for dataset in ("seeds", "cardio")}
+    counts = count_loads(monkeypatch)
+    store = FrontStore(campaign, max_entries=1)
+    for _ in range(3):
+        for dataset in ("seeds", "cardio"):
+            assert answers(store, dataset) == expected[dataset]
+    stats = store.stats()
+    assert (stats["misses"], stats["npz_loads"], stats["json_loads"]) == (6, 6, 0)
+    # One read and hash of each JSON, one zip directory and four npy headers per npz.
+    assert counts == {"sha256": 2, "zip": 2, "npy_header": 8}
+    # The bytes are read, and checked against the fingerprint, on first use.
+    for dataset in ("seeds", "cardio"):
+        assert store.front(dataset) == fronts[dataset]
+    assert counts == {"sha256": 4, "zip": 2, "npy_header": 8}
+
+
+def test_same_size_rewrite_of_an_evicted_front_is_hashed_again(tmp_path, monkeypatch):
+    campaign, paths = write_two_fronts(tmp_path)
+    store = FrontStore(campaign, max_entries=1)
+    store.page("seeds", 0, None)
+    store.page("cardio", 0, None)  # evicts seeds; its memo stays
+    path = paths["seeds"]
+    before = path.stat()
+    newer = copy.deepcopy(DOC)
+    newer["front"][0]["accuracy"] = 0.6  # as long as the 0.9 it replaces
+    write_json_atomic(path, newer)  # the npz still carries the old sha
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert after.st_ino != before.st_ino
+    counts = count_loads(monkeypatch)
+    (_baseline, _total, rows), fingerprint = store.page("seeds", 0, None)
+    assert counts["sha256"] == 1
+    assert rows == newer["front"]
+    raw, etag = store.front("seeds")
+    assert raw == path.read_bytes()
+    assert etag == fingerprint == hashlib.sha256(raw).hexdigest()
+
+
+@pytest.mark.parametrize("rewrite", ["atomic", "in-place-same-stat"])
+def test_front_replaced_after_a_memo_load_serves_the_new_bytes(tmp_path, monkeypatch, rewrite):
+    campaign, paths = write_two_fronts(tmp_path)
+    path = paths["seeds"]
+    store = FrontStore(campaign, max_entries=1)
+    old_raw, _ = store.front("seeds")  # read and hashed: the memo holds its fingerprint
+    store.page("cardio", 0, None)  # evicts seeds
+    newer = copy.deepcopy(DOC)
+    newer["front"][0]["accuracy"] = 0.6
+    new_raw = json.dumps(newer, indent=2, sort_keys=True).encode() + b"\n"
+    assert len(new_raw) == len(old_raw) and new_raw != old_raw
+
+    def replace():
+        if rewrite == "atomic":
+            replace_file(path, new_raw)
+            return
+        # Same size, inode and mtime: only the bytes' SHA-256 tells.
+        before = path.stat()
+        with open(path, "r+b") as handle:
+            handle.write(new_raw)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+            before.st_ino, before.st_size, before.st_mtime_ns
+        )
+
+    view = store.view(campaign, "seeds")  # loaded from the memo, bytes not read
+    replace()
+    with pytest.raises(StaleViewError):
+        view.raw
+    replace_file(path, old_raw)
+    store.page("seeds", 0, None)  # read and hashed again: a fresh memo
+    store.page("cardio", 0, None)  # evicts seeds
+    real_views = store.views
+    replaced = []
+
+    def views_then_replace(dataset, fault_rate=None):
+        views = real_views(dataset, fault_rate)
+        if not replaced:
+            replace()
+            replaced.append(dataset)
+        return views
+
+    monkeypatch.setattr(store, "views", views_then_replace)
+    raw, fingerprint = store.front("seeds")
+    assert replaced == ["seeds"]
+    assert raw == new_raw
+    assert fingerprint == hashlib.sha256(new_raw).hexdigest()
+
+
+def test_replaced_npz_of_an_unchanged_front_falls_back_to_json(tmp_path):
+    campaign, paths = write_two_fronts(tmp_path)
+    fresh = FrontStore(campaign)
+    expected = answers(fresh, "seeds"), fresh.front("seeds")
+    store = FrontStore(campaign, max_entries=1)
+    assert (answers(store, "seeds"), store.front("seeds")) == expected
+    npz_path = front_npz_path(paths["seeds"])
+    foreign = front_npz_path(paths["cardio"]).read_bytes()  # a valid npz of other JSON
+    for replacement in (b"\x00" * 64, foreign):
+        store.page("cardio", 0, None)  # evicts seeds; its memo stays
+        replace_file(npz_path, replacement)
+        json_loads = store.stats()["json_loads"]
+        assert (answers(store, "seeds"), store.front("seeds")) == expected
+        assert store.view(campaign, "seeds").source == "json"
+        assert store.stats()["json_loads"] == json_loads + 1
+
+
+def test_the_memo_holds_no_array_and_no_mapping(tmp_path):
+    campaign, _ = write_two_fronts(tmp_path)
+    store = FrontStore(campaign, max_entries=1)
+    for dataset in ("seeds", "cardio"):
+        store.page(dataset, 0, None)
+
+    def values(value):
+        yield value
+        if dataclasses.is_dataclass(value):
+            for field in dataclasses.fields(value):
+                yield from values(getattr(value, field.name))
+        elif isinstance(value, (tuple, list, dict)):
+            for item in value.items() if isinstance(value, dict) else value:
+                yield from values(item)
+
+    held = [value for record in store._memo.values() for value in values(record)]
+    assert len(store._memo) == 2
+    assert any(isinstance(value, np.dtype) for value in held)  # the npz layout is kept
+    assert not any(isinstance(value, (np.ndarray, mmap.mmap)) for value in held)
