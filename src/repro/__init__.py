@@ -59,12 +59,10 @@ from .hardware import egt_library, get_technology
 from .nn import MLP, build_mlp, train_classifier
 from .reliability import monte_carlo_fault_injection
 from .search import (
+    EvaluationEngine,
     EvaluationSettings,
     GAConfig,
     HardwareAwareGA,
-    ParallelEvaluator,
-    SerialEvaluator,
-    create_evaluator,
     resolve_evaluation_settings,
     run_combined_search,
 )
@@ -96,6 +94,7 @@ __all__ = [
     "CampaignRunner",
     "CampaignSpec",
     "DesignPoint",
+    "EvaluationEngine",
     "EvaluationSettings",
     "FixedPointSimulator",
     "GAConfig",
@@ -103,16 +102,13 @@ __all__ = [
     "MLP",
     "MinimizationPipeline",
     "NormalizedPoint",
-    "ParallelEvaluator",
     "PipelineConfig",
-    "SerialEvaluator",
     "SweepResult",
     "SynthesisReport",
     "__version__",
     "area_gain_table",
     "best_area_gain_at_loss",
     "build_mlp",
-    "create_evaluator",
     "egt_library",
     "evaluate_dataset",
     "fast_config",

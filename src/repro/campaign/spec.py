@@ -59,7 +59,6 @@ _GA_PARAMS = _FAULT_PARAMS | frozenset(
         "mutation_rate",
         "crossover_rate",
         "finetune_epochs",
-        "stacked",
         "cache_size",
         "surrogate",
         "surrogate_candidates",
@@ -84,7 +83,6 @@ _PIPELINE_PARAMS = frozenset(
 
 #: Search knobs that earlier builds also accepted under ``pipeline``.
 _MOVED_TO_SEARCH = _FAULT_PARAMS | {
-    "stacked",
     "cache_size",
     "surrogate",
     "surrogate_candidates",

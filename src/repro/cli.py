@@ -77,11 +77,11 @@ def _fault_rate_argument(value: str) -> float:
     return rate
 
 
-def _fault_trials_argument(value: str) -> int:
-    trials = int(value)
-    if trials < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {trials}")
-    return trials
+def _non_negative_argument(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {number}")
+    return number
 
 
 def _surrogate_prefilter_argument(value: str) -> float:
@@ -170,7 +170,6 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
         finetune_epochs=args.finetune_epochs,
         seed=args.seed,
         n_workers=args.workers,
-        stacked=not args.no_stacked,
         cache_size=args.cache_size,
         fault_rate=args.fault_rate,
         n_fault_trials=args.fault_trials,
@@ -492,11 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure2.add_argument("--population", type=int, default=16)
     figure2.add_argument("--generations", type=int, default=8)
     figure2.add_argument("--finetune-epochs", type=int, default=6)
-    figure2.add_argument("--no-stacked", action="store_true",
-                         help="evaluate genomes one at a time instead of "
-                              "batching each generation through the stacked "
-                              "tensor path (results are byte-identical "
-                              "either way; stacked is faster)")
     figure2.add_argument("--cache-size", type=_cache_size_argument,
                          default=GAConfig.cache_size,
                          help="LRU bound on the genome evaluation cache "
@@ -511,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "--fault-trials; adds fault tolerance as a "
                               "third NSGA-II objective and "
                               "robust_accuracy/accuracy_std per design)")
-    figure2.add_argument("--fault-trials", type=_fault_trials_argument,
+    figure2.add_argument("--fault-trials", type=_non_negative_argument,
                          default=GAConfig.n_fault_trials,
                          help="Monte-Carlo trials per design point "
                               "(default 0 = robustness off)")
@@ -586,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="jobs to run concurrently (each job may also "
                               "fan its evaluations out via the spec's "
                               "pipeline.n_workers)")
-        sub.add_argument("--max-jobs", type=int, default=None,
+        sub.add_argument("--max-jobs", type=_non_negative_argument, default=None,
                          help="stop after this many pending jobs (the rest "
                               "stay pending for a later resume)")
         sub.add_argument("--shard", default=None,
@@ -666,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="exit after this many idle seconds (also how "
                                     "long to wait for the coordinator to create "
                                     "<out>/fabric)")
-    campaign_work.add_argument("--max-jobs", type=int, default=None,
+    campaign_work.add_argument("--max-jobs", type=_non_negative_argument, default=None,
                                help="stop after executing this many jobs")
     campaign_work.add_argument("--max-attempts", type=int, default=None,
                                help="retry budget for transient job failures")

@@ -1,6 +1,6 @@
 """Hardware-aware search: genome encoding, NSGA-II, GA driver, evaluation engine."""
 
-from .evaluator import EvaluationCache, SerialEvaluator, genome_seed
+from .evaluator import EvaluationCache, EvaluationEngine, genome_seed, resolve_workers
 from .exhaustive import front_of, grid_search, random_search
 from .ga import (
     GAConfig,
@@ -31,32 +31,21 @@ from .objectives import (
     evaluate_genomes_stacked,
     objectives_of,
 )
-from .parallel import ParallelEvaluator, create_evaluator, resolve_workers
 from .settings import EvaluationSettings, resolve_evaluation_settings
 
-#: Backwards-compatible name for the serial engine (pre-engine API).
-#: Note one semantic change versus the legacy class: evaluations now use
-#: deterministic per-genome seeds derived from ``seed`` (default 0) instead
-#: of passing one shared seed (default None) to every evaluation, so design
-#: points differ numerically from pre-engine runs.
-CachedEvaluator = SerialEvaluator
-
 __all__ = [
-    "CachedEvaluator",
     "DEFAULT_BIT_CHOICES",
     "DEFAULT_CLUSTER_CHOICES",
     "DEFAULT_SPARSITY_CHOICES",
     "EvaluationCache",
+    "EvaluationEngine",
     "EvaluationSettings",
     "GAConfig",
     "GAResult",
     "Genome",
     "GenomeSpace",
     "HardwareAwareGA",
-    "ParallelEvaluator",
-    "SerialEvaluator",
     "apply_genome",
-    "create_evaluator",
     "crowding_distance",
     "crowding_distance_reference",
     "dominates",

@@ -1,8 +1,8 @@
 """The evaluation engine behind every combined-search strategy.
 
-All search drivers (the hardware-aware GA, random/grid baselines, future
-distributed searches) funnel their fitness evaluations through one engine
-with three responsibilities:
+All search drivers (the hardware-aware GA, random/grid baselines, the
+campaign layer) funnel their fitness evaluations through one
+:class:`EvaluationEngine` with four responsibilities:
 
 * **Caching** — genome evaluations are memoized by the genome's hashable
   identity, shared across generations, so re-encountered genomes cost
@@ -15,34 +15,44 @@ with three responsibilities:
   or on which worker process ran it — which is what makes parallel and
   serial searches bit-identical.
 * **Batching** — drivers submit whole populations via
-  :meth:`SerialEvaluator.evaluate_population`, the natural unit both for
-  the process-pool fan-out in :mod:`repro.search.parallel` and for the
-  stacked tensor path: with ``stacked=True`` the engine routes each
-  batch of cache misses through
+  :meth:`EvaluationEngine.evaluate_population`, and every batch of cache
+  misses goes through
   :func:`~repro.search.objectives.evaluate_genomes_stacked`, which trains
   and scores the whole sub-population as ``(G, ...)`` stacked arrays —
-  bit-identical to the per-genome loop, several times faster at
-  population scale.
-
-:class:`SerialEvaluator` is the in-process implementation (and the fallback
-when no worker pool is available); :class:`~repro.search.parallel.ParallelEvaluator`
-subclasses it to fan cache misses out over a ``ProcessPoolExecutor``.
+  bit-identical to the per-genome loop (its own fallback for single
+  genomes, zero fine-tune epochs and models that cannot stack), several
+  times faster at population scale.
+* **Fan-out** — with ``n_workers > 1`` the misses of a batch are split into
+  one contiguous chunk per worker of a ``ProcessPoolExecutor``, and each
+  worker evaluates its chunk through the same stacked path. The prepared
+  pipeline and settings are pickled once per worker (pool initializer);
+  tasks ship only genomes and seeds. Results are committed to the cache in
+  submission order, so fronts, ``all_points()`` order and every statistic
+  match a serial run exactly. If the pool cannot start or dies mid-run,
+  the engine warns and evaluates in-process from then on.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Tuple
+import os
+import pickle
+import warnings
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.lru import LRUCache
 from ..core.pipeline import PreparedPipeline
 from ..core.results import DesignPoint
 from .genome import Genome
-from .objectives import evaluate_genome, evaluate_genomes_stacked
+from .objectives import evaluate_genomes_stacked
 from .settings import EvaluationSettings
 
 #: Seeds are reduced modulo 2**32 so they are valid ``numpy`` seeds everywhere.
 _SEED_SPACE = 2**32
+
+#: Per-process evaluation state, populated by :func:`_init_worker`.
+_WORKER_STATE: dict = {}
 
 
 def genome_seed(base_seed: Optional[int], genome: Genome) -> Optional[int]:
@@ -98,28 +108,75 @@ class EvaluationCache(LRUCache):
         return self.values()
 
 
-class SerialEvaluator:
-    """In-process evaluation engine: cache + per-genome seeding, no fan-out.
+def resolve_workers(n_workers: Optional[int]) -> int:
+    """Normalize a worker-count request: ``None``/1 = serial, 0 = all usable cores.
 
-    Drop-in compatible with the legacy ``CachedEvaluator`` interface
-    (callable per genome, ``n_evaluations``, ``cache_size``, ``all_points()``)
-    while adding population-level evaluation.
+    "All cores" counts the CPUs this process may run on (its affinity
+    mask) where the platform reports one, not every CPU of the machine.
+    """
+    if n_workers is None:
+        return 1
+    n_workers = int(n_workers)
+    if n_workers < 0:
+        raise ValueError(f"n_workers must be >= 0, got {n_workers}")
+    if n_workers == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    return n_workers
+
+
+def _init_worker(payload: bytes) -> None:
+    """Pool initializer: install the prepared pipeline + settings in this process."""
+    prepared, settings = pickle.loads(payload)
+    _WORKER_STATE["prepared"] = prepared
+    _WORKER_STATE["settings"] = settings
+
+
+def _evaluate_chunk_task(
+    genomes: Sequence[Genome], seeds: Sequence[Optional[int]]
+) -> List[DesignPoint]:
+    """One pool task: evaluate a population chunk through the stacked path."""
+    return evaluate_genomes_stacked(
+        genomes, _WORKER_STATE["prepared"], _WORKER_STATE["settings"], seeds
+    )
+
+
+def _chunk_bounds(n_items: int, n_chunks: int) -> List[Tuple[int, int]]:
+    """Contiguous, balanced ``[start, stop)`` chunk bounds (no empty chunks)."""
+    n_chunks = max(1, min(n_chunks, n_items))
+    base, extra = divmod(n_items, n_chunks)
+    bounds = []
+    start = 0
+    for index in range(n_chunks):
+        stop = start + base + (1 if index < extra else 0)
+        bounds.append((start, stop))
+        start = stop
+    return bounds
+
+
+class EvaluationEngine:
+    """Cache + per-genome seeding + stacked batches, optionally over a process pool.
+
+    Callable per genome, with ``n_evaluations``, ``cache_size`` and
+    ``all_points()`` for the drivers' bookkeeping.
 
     Args:
-        prepared: prepared pipeline (trained baseline, data, technology).
+        prepared: prepared pipeline (trained baseline, data, technology);
+            pickled once per worker when a pool is used.
         settings: per-genome evaluation settings.
         seed: base seed; each genome's evaluation seed is derived from it
             via :func:`genome_seed`.
-        stacked: route batches of cache misses through the stacked
-            population path (:func:`~repro.search.objectives.evaluate_genomes_stacked`)
-            instead of a per-genome loop. Bit-identical results either way;
-            the stacked path amortizes numpy dispatch across the population.
+        n_workers: worker processes. ``None``/1 evaluates in-process,
+            0 uses every core this process may run on.
         cache_size: optional LRU bound on the evaluation cache.
         cache: use this cache instance instead of constructing a fresh
             in-memory one. Any :class:`EvaluationCache` subclass works — the
             campaign layer injects a persistent on-disk backend
             (:class:`repro.campaign.PersistentEvaluationCache`) here so
             evaluations survive process death and are shared across jobs.
+            The cache lives in the driver process only (workers evaluate,
+            the driver commits), so it never needs to be picklable.
             Mutually exclusive with ``cache_size`` (bound the injected cache
             at construction instead).
     """
@@ -129,7 +186,7 @@ class SerialEvaluator:
         prepared: PreparedPipeline,
         settings: Optional[EvaluationSettings] = None,
         seed: Optional[int] = 0,
-        stacked: bool = False,
+        n_workers: Optional[int] = None,
         cache_size: Optional[int] = None,
         cache: Optional[EvaluationCache] = None,
     ) -> None:
@@ -141,9 +198,10 @@ class SerialEvaluator:
         self.prepared = prepared
         self.settings = settings if settings is not None else EvaluationSettings()
         self.seed = seed
-        self.stacked = bool(stacked)
+        self.n_workers = resolve_workers(n_workers)
         self.cache = cache if cache is not None else EvaluationCache(max_entries=cache_size)
         self.n_evaluations = 0
+        self._executor: Optional[ProcessPoolExecutor] = None
 
     # -- engine interface --------------------------------------------------------
 
@@ -187,9 +245,12 @@ class SerialEvaluator:
     __call__ = evaluate
 
     def close(self) -> None:
-        """Release any evaluation resources (no-op for the serial engine)."""
+        """Shut the worker pool down, if one was started (idempotent)."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
 
-    def __enter__(self) -> "SerialEvaluator":
+    def __enter__(self) -> "EvaluationEngine":
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -210,14 +271,33 @@ class SerialEvaluator:
         return missing
 
     def _evaluate_missing(self, genomes: List[Genome]) -> List[DesignPoint]:
-        """Evaluate uncached genomes in-process. Overridden by the parallel engine."""
+        """Evaluate uncached genomes: one stacked chunk per worker, or in-process."""
         seeds = [genome_seed(self.seed, genome) for genome in genomes]
-        if self.stacked and len(genomes) > 1:
-            return evaluate_genomes_stacked(genomes, self.prepared, self.settings, seeds)
-        return [
-            evaluate_genome(genome, self.prepared, self.settings, seed=seed)
-            for genome, seed in zip(genomes, seeds)
-        ]
+        if self.n_workers > 1 and len(genomes) > 1:
+            try:
+                if self._executor is None:
+                    self._executor = ProcessPoolExecutor(
+                        max_workers=self.n_workers,
+                        initializer=_init_worker,
+                        initargs=(pickle.dumps((self.prepared, self.settings)),),
+                    )
+                futures = [
+                    self._executor.submit(
+                        _evaluate_chunk_task, genomes[start:stop], seeds[start:stop]
+                    )
+                    for start, stop in _chunk_bounds(len(genomes), self.n_workers)
+                ]
+                return [point for future in futures for point in future.result()]
+            except (BrokenExecutor, OSError, pickle.PicklingError) as error:
+                warnings.warn(
+                    f"Parallel evaluation unavailable ({error!r}); "
+                    "falling back to serial evaluation.",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                self.close()
+                self.n_workers = 1
+        return evaluate_genomes_stacked(genomes, self.prepared, self.settings, seeds)
 
     # -- introspection -----------------------------------------------------------
 
@@ -234,3 +314,7 @@ class SerialEvaluator:
     def all_points(self) -> List[DesignPoint]:
         """Every distinct design point still cached (all of them when unbounded)."""
         return self.cache.points()
+
+
+# perfbench times ``repro.search.evaluator.SerialEvaluator.evaluate_population``.
+SerialEvaluator = EvaluationEngine

@@ -10,7 +10,7 @@ the same genome space:
   few layers.
 
 Both route their evaluations through the shared engine
-(:func:`repro.search.parallel.create_evaluator`), so they inherit its
+(:class:`repro.search.evaluator.EvaluationEngine`), so they inherit its
 caching, per-genome seeding and optional process-pool fan-out. The set of
 genomes evaluated depends only on the sampling RNG, never on the worker
 count, so parallel runs return the same points as serial ones.
@@ -26,9 +26,9 @@ import numpy as np
 from ..core.pareto import pareto_front
 from ..core.pipeline import PreparedPipeline
 from ..core.results import DesignPoint
+from .evaluator import EvaluationEngine
 from .genome import Genome, GenomeSpace
 from .settings import EvaluationSettings
-from .parallel import create_evaluator
 
 
 def _distinct_points(
@@ -78,7 +78,7 @@ def random_search(
         n_layers=len(prepared.baseline_model.dense_layers)
     )
     rng = np.random.default_rng(seed)
-    with create_evaluator(
+    with EvaluationEngine(
         prepared, settings, seed=seed, n_workers=n_workers, cache=cache
     ) as evaluator:
         # Draw until the budget of *distinct* genomes is reached, then batch-
@@ -120,7 +120,7 @@ def grid_search(
         )
         for bits, sparsity, clusters in product(bit_choices, sparsity_choices, cluster_choices)
     ]
-    with create_evaluator(
+    with EvaluationEngine(
         prepared, settings, seed=seed, n_workers=n_workers, cache=cache
     ) as evaluator:
         return _distinct_points(genomes, evaluator.evaluate_population(genomes))

@@ -19,6 +19,7 @@ from ..core import profiling
 from ..core.pareto import dominates, pareto_front
 from ..core.pipeline import PreparedPipeline
 from ..core.results import DesignPoint
+from .evaluator import EvaluationEngine
 from .genome import (
     DEFAULT_BIT_CHOICES,
     DEFAULT_CLUSTER_CHOICES,
@@ -28,7 +29,6 @@ from .genome import (
 )
 from .nsga2 import nsga2_rank, select_survivors, tournament_select
 from .objectives import objectives_of
-from .parallel import create_evaluator
 from .settings import EvaluationSettings, resolve_evaluation_settings
 
 # Imported as a module path (not via the repro.surrogate package) at call
@@ -51,10 +51,6 @@ class GAConfig:
         n_workers: evaluation worker processes (``None`` inherits the
             prepared pipeline's configuration, 1 = serial, 0 = all cores).
             Parallel runs are bit-identical to serial ones.
-        stacked: evaluate each generation as one stacked tensor program
-            (default on). Stacked, per-genome and parallel evaluation all
-            produce byte-identical fronts; stacked is simply faster at
-            population scale.
         cache_size: LRU bound on the genome evaluation cache (``None`` =
             unbounded, the default). A bound trades memory for occasional
             deterministic re-evaluations of evicted genomes.
@@ -96,7 +92,6 @@ class GAConfig:
     finetune_epochs: int = 8
     seed: int = 0
     n_workers: Optional[int] = None
-    stacked: bool = True
     cache_size: Optional[int] = None
     fault_rate: float = 0.0
     n_fault_trials: int = 0
@@ -227,12 +222,11 @@ class HardwareAwareGA:
         n_workers = self.config.n_workers
         if n_workers is None:
             n_workers = getattr(prepared.config, "n_workers", 1)
-        self.evaluator = create_evaluator(
+        self.evaluator = EvaluationEngine(
             prepared,
             self.settings,
             seed=self.config.seed,
             n_workers=n_workers,
-            stacked=self.config.stacked,
             cache_size=None if cache is not None else self.config.cache_size,
             cache=cache,
         )
@@ -296,12 +290,10 @@ class HardwareAwareGA:
         must never enter (or poison) the genome-keyed main cache.
         """
         if epochs not in self._rung_evaluators:
-            self._rung_evaluators[epochs] = create_evaluator(
+            self._rung_evaluators[epochs] = EvaluationEngine(
                 self.prepared,
                 replace(self.settings, finetune_epochs=epochs),
                 seed=self.config.seed,
-                n_workers=1,
-                stacked=self.config.stacked,
             )
         return self._rung_evaluators[epochs]
 
@@ -467,14 +459,8 @@ def run_combined_search(
     prepared: PreparedPipeline,
     config: Optional[GAConfig] = None,
     n_workers: Optional[int] = None,
-    stacked: Optional[bool] = None,
 ) -> GAResult:
     """Convenience wrapper used by the Figure-2 experiment and examples."""
-    overrides = {}
     if n_workers is not None:
-        overrides["n_workers"] = n_workers
-    if stacked is not None:
-        overrides["stacked"] = stacked
-    if overrides:
-        config = replace(config if config is not None else GAConfig(), **overrides)
+        config = replace(config if config is not None else GAConfig(), n_workers=n_workers)
     return HardwareAwareGA(prepared, config=config).run()

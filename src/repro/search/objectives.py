@@ -7,8 +7,8 @@ then synthesizes the bespoke circuit at the genome's bit-widths. The result
 is returned as a ``combined`` :class:`~repro.core.results.DesignPoint`.
 
 These are pure functions of ``(genome, prepared, settings, seed)``; caching
-and parallel fan-out live in :mod:`repro.search.evaluator` and
-:mod:`repro.search.parallel`. :func:`evaluate_genomes_stacked` evaluates a
+and parallel fan-out live in :mod:`repro.search.evaluator`.
+:func:`evaluate_genomes_stacked` evaluates a
 whole population at once through the stacked tensor path — byte-identical
 to looping :func:`evaluate_genome`, several times faster at population
 scale.

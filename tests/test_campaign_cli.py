@@ -71,6 +71,20 @@ class TestCampaignVerbs:
         assert main(["campaign", "resume", "--out", out]) == 0
         assert "0 remaining" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("verb", ["run", "resume", "work"])
+    def test_negative_max_jobs_is_rejected(self, tmp_path, capsys, verb):
+        out = tmp_path / "camp"
+        argv = ["campaign", verb, "--out", str(out), "--max-jobs", "-1"]
+        if verb == "run":
+            argv += ["--spec", str(_write_spec(tmp_path))]
+        if verb == "work":
+            argv += ["--max-idle", "0"]  # an accepted -1 must not wait for a fabric
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--max-jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_spec_file_reports_cleanly(self, tmp_path, capsys):
         assert main(
             ["campaign", "run", "--spec", str(tmp_path / "absent.yaml"),

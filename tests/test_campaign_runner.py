@@ -29,7 +29,7 @@ from repro.search import (
     EvaluationSettings,
     GAConfig,
     HardwareAwareGA,
-    SerialEvaluator,
+    EvaluationEngine,
     random_search,
 )
 
@@ -283,11 +283,11 @@ class TestEngineCacheInjection:
 
         genome = GenomeSpace(n_layers=2).random_genome(np.random.default_rng(0))
         with PersistentEvaluationCache(tmp_path, "ctx") as cache:
-            first = SerialEvaluator(prepared, settings, seed=0, cache=cache)
+            first = EvaluationEngine(prepared, settings, seed=0, cache=cache)
             point = first.evaluate(genome)
             assert first.cache.misses == 1
         with PersistentEvaluationCache(tmp_path, "ctx") as cache:
-            second = SerialEvaluator(prepared, settings, seed=0, cache=cache)
+            second = EvaluationEngine(prepared, settings, seed=0, cache=cache)
             replayed = second.evaluate(genome)
             assert second.n_evaluations == 0  # disk hit, no fresh evaluation
         assert replayed.accuracy == point.accuracy
@@ -296,7 +296,7 @@ class TestEngineCacheInjection:
     def test_cache_and_cache_size_are_mutually_exclusive(self, prepared_pipeline, tmp_path):
         prepared = prepared_pipeline.prepare()
         with pytest.raises(ValueError, match="not both"):
-            SerialEvaluator(
+            EvaluationEngine(
                 prepared,
                 cache=PersistentEvaluationCache(tmp_path, "ctx"),
                 cache_size=4,

@@ -78,7 +78,7 @@ class TestSearchSpec:
         spec = SearchSpec.from_dict({"algorithm": algorithm, **faults})
         assert spec.param_dict() == faults
 
-    @pytest.mark.parametrize("knob, value", [("stacked", False), ("cache_size", 4)])
+    @pytest.mark.parametrize("knob, value", [("cache_size", 4)])
     def test_engine_knobs_stay_ga_only(self, knob, value):
         spec = SearchSpec.from_dict({"algorithm": "ga", knob: value})
         assert spec.param_dict() == {knob: value}
@@ -134,7 +134,6 @@ class TestCampaignSpec:
     @pytest.mark.parametrize(
         "knob",
         [
-            "stacked",
             "cache_size",
             "fault_rate",
             "n_fault_trials",
@@ -149,6 +148,19 @@ class TestCampaignSpec:
         pipeline = {"train_epochs": 3, knob: 1}
         with pytest.raises(ValueError, match=rf"\['{knob}'\].*search entry"):
             CampaignSpec.from_dict(_spec_dict(pipeline=pipeline))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"searches": [{"algorithm": "ga", "stacked": True}]},
+            {"pipeline": {"train_epochs": 3, "stacked": True}},
+        ],
+        ids=["ga", "pipeline"],
+    )
+    def test_removed_stacked_knob_fails_at_load(self, overrides):
+        # Evaluation is always stacked; the knob that chose it is gone.
+        with pytest.raises(ValueError, match="stacked"):
+            CampaignSpec.from_dict(_spec_dict(**overrides))
 
     @pytest.mark.parametrize(
         "search, message",

@@ -74,9 +74,7 @@ class TestTopLevelNamespace:
             "HardwareAwareGA",
             "EvaluationSettings",
             "resolve_evaluation_settings",
-            "SerialEvaluator",
-            "ParallelEvaluator",
-            "create_evaluator",
+            "EvaluationEngine",
             "CampaignSpec",
             "CampaignRunner",
             "monte_carlo_fault_injection",

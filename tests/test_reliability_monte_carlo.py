@@ -29,10 +29,11 @@ from repro.reliability import (
 )
 from repro.reliability import monte_carlo as monte_carlo_module
 from repro.search import (
+    EvaluationEngine,
     EvaluationSettings,
     GenomeSpace,
-    ParallelEvaluator,
-    SerialEvaluator,
+    evaluate_genome,
+    genome_seed,
     objectives_of,
 )
 
@@ -310,11 +311,11 @@ class TestEngineSeams:
         settings = EvaluationSettings(
             finetune_epochs=2, fault_rate=0.1, n_fault_trials=4, fault_model="short"
         )
-        serial = SerialEvaluator(prepared, settings, seed=0).evaluate_population(genomes)
-        stacked = SerialEvaluator(
-            prepared, settings, seed=0, stacked=True
-        ).evaluate_population(genomes)
-        with ParallelEvaluator(prepared, settings, seed=0, n_workers=2) as pool:
+        serial = [
+            evaluate_genome(g, prepared, settings, seed=genome_seed(0, g)) for g in genomes
+        ]
+        stacked = EvaluationEngine(prepared, settings, seed=0).evaluate_population(genomes)
+        with EvaluationEngine(prepared, settings, seed=0, n_workers=2) as pool:
             parallel = pool.evaluate_population(genomes)
         assert self._signatures(serial) == self._signatures(stacked)
         assert self._signatures(serial) == self._signatures(parallel)

@@ -6,7 +6,7 @@ import pytest
 from repro.core import PipelineConfig
 from repro.core.pareto import pareto_front
 from repro.search import (
-    CachedEvaluator,
+    EvaluationEngine,
     EvaluationSettings,
     GAConfig,
     Genome,
@@ -94,7 +94,7 @@ class TestGenomeEvaluation:
         assert area == pytest.approx(1.0)
 
     def test_cached_evaluator_memoizes(self, prepared):
-        evaluator = CachedEvaluator(prepared, EvaluationSettings(finetune_epochs=1), seed=0)
+        evaluator = EvaluationEngine(prepared, EvaluationSettings(finetune_epochs=1), seed=0)
         g = genome(bits=4)
         first = evaluator(g)
         second = evaluator(g)

@@ -1,22 +1,24 @@
-"""Tests for the parallel + cached evaluation engine (evaluator.py / parallel.py)."""
+"""Tests for the cached, optionally parallel evaluation engine (evaluator.py)."""
+
+import os
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import pytest
 
 from repro.search import (
     EvaluationCache,
+    EvaluationEngine,
     EvaluationSettings,
     GAConfig,
     Genome,
     HardwareAwareGA,
-    ParallelEvaluator,
-    SerialEvaluator,
-    create_evaluator,
     genome_seed,
     grid_search,
     random_search,
     resolve_workers,
 )
+from repro.search import evaluator as evaluator_module
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,18 @@ class TestResolveWorkers:
     def test_zero_means_all_cores(self):
         assert resolve_workers(0) >= 1
 
+    def test_zero_counts_only_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_workers(0) == 1
+
+    def test_zero_without_an_affinity_mask_counts_every_core(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert resolve_workers(0) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_workers(0) == 1
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             resolve_workers(-2)
@@ -82,7 +96,7 @@ class TestEvaluationCache:
 
 class TestSerialEvaluator:
     def test_population_dedupes_and_caches(self, prepared):
-        evaluator = SerialEvaluator(prepared, FAST, seed=0)
+        evaluator = EvaluationEngine(prepared, FAST, seed=0)
         batch = [genome(bits=4), genome(bits=2), genome(bits=4)]
         points = evaluator.evaluate_population(batch)
         assert len(points) == 3
@@ -93,7 +107,7 @@ class TestSerialEvaluator:
         assert evaluator.cache.misses == 2
 
     def test_cache_shared_across_generations(self, prepared):
-        evaluator = SerialEvaluator(prepared, FAST, seed=0)
+        evaluator = EvaluationEngine(prepared, FAST, seed=0)
         first = evaluator.evaluate_population([genome(bits=4), genome(bits=2)])
         hits_before = evaluator.cache_hits
         second = evaluator.evaluate_population([genome(bits=2), genome(bits=4)])
@@ -102,13 +116,13 @@ class TestSerialEvaluator:
         assert first[0] is second[1] and first[1] is second[0]
 
     def test_all_points_in_first_seen_order(self, prepared):
-        evaluator = SerialEvaluator(prepared, FAST, seed=0)
+        evaluator = EvaluationEngine(prepared, FAST, seed=0)
         a = evaluator(genome(bits=8))
         b = evaluator(genome(bits=3))
         assert evaluator.all_points() == [a, b]
 
     def test_context_manager(self, prepared):
-        with SerialEvaluator(prepared, FAST, seed=0) as evaluator:
+        with EvaluationEngine(prepared, FAST, seed=0) as evaluator:
             evaluator(genome())
         assert evaluator.cache_size == 1
 
@@ -116,21 +130,21 @@ class TestSerialEvaluator:
 class TestParallelEvaluator:
     def test_bit_identical_to_serial(self, prepared):
         batch = [genome(bits=b, sparsity=s) for b in (2, 4) for s in (0.0, 0.3)]
-        with ParallelEvaluator(prepared, FAST, seed=0, n_workers=2) as parallel:
+        with EvaluationEngine(prepared, FAST, seed=0, n_workers=2) as parallel:
             parallel_points = parallel.evaluate_population(batch)
-        serial_points = SerialEvaluator(prepared, FAST, seed=0).evaluate_population(batch)
+        serial_points = EvaluationEngine(prepared, FAST, seed=0).evaluate_population(batch)
         for p, s in zip(parallel_points, serial_points):
             assert p.accuracy == s.accuracy
             assert p.area == s.area
             assert p.power == s.power
 
     def test_single_worker_never_builds_pool(self, prepared):
-        evaluator = ParallelEvaluator(prepared, FAST, seed=0, n_workers=1)
+        evaluator = EvaluationEngine(prepared, FAST, seed=0, n_workers=1)
         evaluator.evaluate_population([genome(bits=4), genome(bits=2)])
         assert evaluator._executor is None
 
     def test_close_is_idempotent(self, prepared):
-        evaluator = ParallelEvaluator(prepared, FAST, seed=0, n_workers=2)
+        evaluator = EvaluationEngine(prepared, FAST, seed=0, n_workers=2)
         evaluator.evaluate_population([genome(bits=4), genome(bits=2)])
         evaluator.close()
         evaluator.close()
@@ -139,11 +153,35 @@ class TestParallelEvaluator:
         evaluator(genome(bits=3))
         assert evaluator.n_evaluations == 3
 
-    def test_factory_picks_engine(self, prepared):
-        assert type(create_evaluator(prepared, FAST, n_workers=1)) is SerialEvaluator
-        engine = create_evaluator(prepared, FAST, n_workers=2)
-        assert isinstance(engine, ParallelEvaluator)
-        engine.close()
+    def test_broken_pool_falls_back_to_serial(self, prepared, monkeypatch):
+        pools = []
+
+        class BrokenPool:
+            def __init__(self, **kwargs):
+                self.open = True
+                pools.append(self)
+
+            def submit(self, *args):
+                raise BrokenExecutor("worker died")
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                self.open = False
+
+        monkeypatch.setattr(evaluator_module, "ProcessPoolExecutor", BrokenPool)
+        batch = [genome(bits=b, sparsity=s) for b in (2, 4) for s in (0.0, 0.3)]
+        engine = EvaluationEngine(prepared, FAST, seed=0, n_workers=2)
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            points = engine.evaluate_population(batch)
+        expected = EvaluationEngine(prepared, FAST, seed=0, n_workers=1).evaluate_population(batch)
+
+        def signature(p):
+            return (p.technique, p.accuracy, p.area, p.power, p.delay, p.parameters,
+                    p.robust_accuracy, p.accuracy_std)
+
+        assert [signature(p) for p in points] == [signature(p) for p in expected]
+        assert engine.n_workers == 1
+        assert engine._executor is None
+        assert len(pools) == 1 and not pools[0].open
 
 
 class TestParallelSearchEquivalence:

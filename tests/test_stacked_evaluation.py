@@ -1,8 +1,8 @@
 """Golden tests of the stacked population evaluation path and its plumbing.
 
 ``evaluate_genomes_stacked`` must produce byte-identical design points to
-the per-genome ``evaluate_genome`` loop; the engine routing (stacked flag,
-LRU cache bound, parallel chunking) must preserve that identity end to end.
+the per-genome ``evaluate_genome`` loop; the engine (LRU cache bound,
+parallel chunking) must preserve that identity end to end.
 """
 
 from __future__ import annotations
@@ -21,17 +21,18 @@ from repro.pruning.magnitude import prune_by_magnitude
 from repro.quantization.qat import attach_quantizers
 from repro.search import (
     EvaluationCache,
+    EvaluationEngine,
     EvaluationSettings,
     GAConfig,
     Genome,
     GenomeSpace,
     HardwareAwareGA,
-    SerialEvaluator,
     evaluate_genome,
     evaluate_genomes_stacked,
     genome_seed,
 )
-from repro.search.parallel import _chunk_bounds
+from repro.search import evaluator as evaluator_module
+from repro.search.evaluator import _chunk_bounds
 
 
 def _population_genomes(n=6, seed=0):
@@ -41,6 +42,14 @@ def _population_genomes(n=6, seed=0):
     while len(genomes) < n:
         genomes.append(space.random_genome(rng))
     return genomes[:n]
+
+
+def _loop_points(genomes, prepared, settings):
+    """The per-genome oracle: ``evaluate_genome`` with each genome's derived seed."""
+    return [
+        evaluate_genome(genome, prepared, settings, seed=genome_seed(0, genome))
+        for genome in genomes
+    ]
 
 
 def _point_signature(point: DesignPoint):
@@ -120,14 +129,12 @@ class TestEngineRouting:
         prepared = prepared_pipeline.prepare()
         settings = EvaluationSettings(finetune_epochs=2)
         genomes = _population_genomes()
-        plain = SerialEvaluator(prepared, settings, seed=0)
-        stacked = SerialEvaluator(prepared, settings, seed=0, stacked=True)
-        plain_points = plain.evaluate_population(genomes)
+        stacked = EvaluationEngine(prepared, settings, seed=0)
         stacked_points = stacked.evaluate_population(genomes)
-        assert [_point_signature(p) for p in plain_points] == [
+        assert [_point_signature(p) for p in _loop_points(genomes, prepared, settings)] == [
             _point_signature(p) for p in stacked_points
         ]
-        assert plain.n_evaluations == stacked.n_evaluations
+        assert stacked.n_evaluations == len(genomes)
         # Second submission: everything cached, no new evaluations.
         stacked.evaluate_population(genomes)
         assert stacked.n_evaluations == len(genomes)
@@ -175,18 +182,26 @@ class TestEngineRouting:
         # The bound was actually exercised: evictions forced re-evaluations.
         assert bounded.n_evaluations >= unbounded.n_evaluations
 
-    def test_ga_stacked_and_loop_fronts_identical(self, prepared_pipeline):
+    def test_ga_stacked_and_loop_fronts_identical(self, prepared_pipeline, monkeypatch):
         prepared = prepared_pipeline.prepare()
         settings = EvaluationSettings(finetune_epochs=2)
 
-        def run(stacked):
-            config = GAConfig(
-                population_size=4, n_generations=2, seed=0, stacked=stacked
-            )
+        def run():
+            config = GAConfig(population_size=4, n_generations=2, seed=0)
             return HardwareAwareGA(prepared, config=config, settings=settings).run()
 
-        loop_result = run(False)
-        stacked_result = run(True)
+        stacked_result = run()
+        # The same GA with the engine's stacked path swapped for the
+        # per-genome loop it must match.
+        monkeypatch.setattr(
+            evaluator_module,
+            "evaluate_genomes_stacked",
+            lambda genomes, prepared, settings, seeds: [
+                evaluate_genome(genome, prepared, settings, seed=seed)
+                for genome, seed in zip(genomes, seeds)
+            ],
+        )
+        loop_result = run()
         assert [_point_signature(p) for p in loop_result.front] == [
             _point_signature(p) for p in stacked_result.front
         ]
@@ -198,21 +213,13 @@ class TestEngineRouting:
 
 class TestParallelStackedAgreement:
     def test_chunked_pool_matches_serial_stacked(self, prepared_pipeline):
-        """Serial, stacked, and parallel-stacked engines agree byte for byte."""
-        from repro.search import ParallelEvaluator
-
+        """The per-genome loop and the parallel-stacked engine agree byte for byte."""
         prepared = prepared_pipeline.prepare()
         settings = EvaluationSettings(finetune_epochs=2)
         genomes = _population_genomes(n=5)
-        serial = SerialEvaluator(prepared, settings, seed=0)
-        expected = serial.evaluate_population(genomes)
-        parallel = ParallelEvaluator(
-            prepared, settings, seed=0, n_workers=2, stacked=True
-        )
-        try:
+        expected = _loop_points(genomes, prepared, settings)
+        with EvaluationEngine(prepared, settings, seed=0, n_workers=2) as parallel:
             points = parallel.evaluate_population(genomes)
-        finally:
-            parallel.close()
         assert [_point_signature(p) for p in points] == [
             _point_signature(p) for p in expected
         ]
@@ -273,8 +280,8 @@ class TestEvaluationCacheLRU:
         prepared = prepared_pipeline.prepare()
         settings = EvaluationSettings(finetune_epochs=2)
         genomes = _population_genomes(n=5)
-        unbounded = SerialEvaluator(prepared, settings, seed=0)
-        bounded = SerialEvaluator(prepared, settings, seed=0, cache_size=2)
+        unbounded = EvaluationEngine(prepared, settings, seed=0)
+        bounded = EvaluationEngine(prepared, settings, seed=0, cache_size=2)
         expected = unbounded.evaluate_population(genomes)
         first = bounded.evaluate_population(genomes)
         assert [_point_signature(p) for p in first] == [
